@@ -130,19 +130,27 @@ func (b *Builder) Depth() int { return b.depth }
 // Interner returns the shared key interner.
 func (b *Builder) Interner() *Interner { return b.intern }
 
-// Bit analyzes the fanin cone of net. It returns nil if the net has no
-// driving combinational gate under the view (primary inputs, FF outputs and
-// simplified-away nets have no cone).
-func (b *Builder) Bit(net netlist.NetID) *BitCone {
-	if _, isConst := b.view.NetConst(net); isConst {
-		return nil
+// RootGate returns the combinational gate driving net under view and its
+// effective kind; ok is false when net has no cone (primary inputs, FF
+// outputs and simplified-away nets). It is the check Bit makes before
+// keying anything, for callers that need only the verdict.
+func RootGate(view netlist.View, net netlist.NetID) (g netlist.GateID, kind logic.Kind, ok bool) {
+	if _, isConst := view.NetConst(net); isConst {
+		return netlist.NoGate, kind, false
 	}
-	g := b.view.DriverOf(net)
+	g = view.DriverOf(net)
 	if g == netlist.NoGate {
-		return nil
+		return g, kind, false
 	}
-	kind := b.view.GateKind(g)
-	if !kind.IsCombinational() {
+	kind = view.GateKind(g)
+	return g, kind, kind.IsCombinational()
+}
+
+// Bit analyzes the fanin cone of net. It returns nil if the net has no
+// driving combinational gate under the view (see RootGate).
+func (b *Builder) Bit(net netlist.NetID) *BitCone {
+	g, kind, ok := RootGate(b.view, net)
+	if !ok {
 		return nil
 	}
 	b.inbuf = b.view.GateInputs(g, b.inbuf[:0])

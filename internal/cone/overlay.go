@@ -48,15 +48,8 @@ func (o *Overlay) Reset(view netlist.View, dist map[netlist.NetID]int) {
 // Bit analyzes the fanin cone of net under the overlay view, exactly as
 // Builder.Bit does under the base view.
 func (o *Overlay) Bit(net netlist.NetID) *BitCone {
-	if _, isConst := o.view.NetConst(net); isConst {
-		return nil
-	}
-	g := o.view.DriverOf(net)
-	if g == netlist.NoGate {
-		return nil
-	}
-	kind := o.view.GateKind(g)
-	if !kind.IsCombinational() {
+	g, kind, ok := RootGate(o.view, net)
+	if !ok {
 		return nil
 	}
 	o.inbuf = o.view.GateInputs(g, o.inbuf[:0])

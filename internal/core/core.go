@@ -156,9 +156,8 @@ type Stats struct {
 	Groups        int // first-level adjacency groups
 	Subgroups     int // partially/fully matched subgroups
 	CandidateBits int // bits with analyzable cones
-	// Trials counts assignment trials attempted, i.e. reduce.Apply
-	// invocations: every trial the enumeration budget admitted, feasible or
-	// not.
+	// Trials counts assignment trials attempted: every assignment the
+	// enumeration budget admitted and propagated, feasible or not.
 	Trials int
 	// Reductions counts the trials whose propagation succeeded (no
 	// contradiction), i.e. the trials that actually produced a reduced
@@ -243,8 +242,9 @@ func Identify(nl *netlist.Netlist, opt Options) *Result {
 	}
 
 	outs := make([]groupOutcome, len(groups))
+	var prop *reduce.Propagator
 	for gi := range groups {
-		outs[gi] = runGroup(nl, opt, gi, groups[gi])
+		outs[gi] = runGroup(nl, opt, gi, groups[gi], &prop)
 		if opt.FailFast && outs[gi].failure != nil {
 			break
 		}
@@ -252,19 +252,17 @@ func Identify(nl *netlist.Netlist, opt Options) *Result {
 	return mergeOutcomes(len(groups), outs, opt.Observer)
 }
 
-func newPipeline(nl *netlist.Netlist, opt Options) *pipeline {
-	p := &pipeline{
+func newPipeline(nl *netlist.Netlist, opt Options, prop **reduce.Propagator) *pipeline {
+	return &pipeline{
 		nl:     nl,
 		opt:    opt,
 		rec:    opt.Observer,
-		it:     cone.NewInterner(),
+		prop:   prop,
 		used:   make(map[netlist.NetID]bool),
 		found:  make(map[netlist.NetID]bool),
 		result: &Result{},
 		stage:  "init",
 	}
-	p.b = cone.NewBuilder(nl, p.it, opt.Depth)
-	return p
 }
 
 // groupOutcome is one adjacency group's contribution to the run: its partial
@@ -278,14 +276,20 @@ type groupOutcome struct {
 }
 
 // runGroup runs one adjacency group through a fresh pipeline inside the
-// group's failure domain. Each group gets a private interner/builder (hash
-// keys are only ever compared within a group) and a private recorder, and
-// runs under a recover boundary: a panic anywhere in the group's pipeline —
-// including construction — becomes a GroupFailure, the group's partial
-// result and observations are discarded wholesale (replaced by an empty
-// Result and a recorder holding only the recovery count), and the caller
-// merges the surviving groups as if the failed one had produced no words.
-func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID) (out groupOutcome) {
+// group's failure domain. Each group gets a private recorder (and, when it
+// has more than one net, a private interner/builder: hash keys are only ever
+// compared within a group), and runs under a recover boundary: a panic
+// anywhere in the group's pipeline — including construction — becomes a
+// GroupFailure, the group's partial result and observations are discarded
+// wholesale (replaced by an empty Result and a recorder holding only the
+// recovery count), and the caller merges the surviving groups as if the
+// failed one had produced no words.
+//
+// prop is the propagator slot of the sequential run or parallel worker
+// running the group: the pipeline creates the propagator on its first trial
+// and reuses it across groups, since every apply resets it. A panic drops
+// it, so a propagation cut short never reaches the next group.
+func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID, prop **reduce.Propagator) (out groupOutcome) {
 	parent := opt.Observer
 	if parent != nil {
 		out.rec = obs.New()
@@ -303,13 +307,14 @@ func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID) (o
 			}
 			out.failure = guard.NewGroupFailure(gi, stage, v)
 			out.res = &Result{}
+			*prop = nil
 			if parent != nil {
 				out.rec = obs.New()
 				out.rec.Add(obs.CtrPanicsRecovered, 1)
 			}
 		}
 	}()
-	p = newPipeline(nl, opt)
+	p = newPipeline(nl, opt, prop)
 	p.group = gi
 	if !p.cancelled() {
 		p.processGroup(nets)
@@ -401,11 +406,12 @@ func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID
 				poolFailures = append(poolFailures, *f)
 				poolMu.Unlock()
 			})
+			var prop *reduce.Propagator // this worker's; see runGroup
 			for gi := range work {
 				if opt.FailFast && failed.Load() {
 					continue
 				}
-				outs[gi] = runGroup(nl, opt, gi, groups[gi])
+				outs[gi] = runGroup(nl, opt, gi, groups[gi], &prop)
 				if outs[gi].failure != nil {
 					failed.Store(true)
 				}
@@ -425,10 +431,10 @@ func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID
 type pipeline struct {
 	nl     *netlist.Netlist
 	opt    Options
-	rec    *obs.Recorder // nil disables observation at ~zero cost
-	it     *cone.Interner
-	b      *cone.Builder
-	ov     *cone.Overlay // lazily created, reused across assignment trials
+	rec    *obs.Recorder       // nil disables observation at ~zero cost
+	b      *cone.Builder       // created by processGroup for multi-net groups
+	ov     *cone.Overlay       // lazily created, reused across assignment trials
+	prop   **reduce.Propagator // see runGroup
 	used   map[netlist.NetID]bool
 	found  map[netlist.NetID]bool
 	result *Result
@@ -484,6 +490,20 @@ func (p *pipeline) processGroup(nets []netlist.NetID) {
 	var subgroups [][]*cone.BitCone
 	p.rec.Do(p.opt.Context, obs.StageMatch, func() {
 		p.enterStage(obs.StageMatch.String())
+		if len(nets) == 1 {
+			// A one-net group is at most a one-bit verified word, and its
+			// cone is never compared with another: it needs the root check
+			// alone, not an interner, a builder or keys. resolveSubgroup
+			// reads only the net of an unkeyed one-bit subgroup.
+			if g, kind, ok := cone.RootGate(p.nl, nets[0]); ok {
+				p.result.Stats.CandidateBits++
+				subgroups = [][]*cone.BitCone{{{Net: nets[0], RootGate: g, RootKind: kind}}}
+			}
+			return
+		}
+		// A fresh interner per group: numeric KeyID order sorts subtrees,
+		// and through them the order of control signals and trials.
+		p.b = cone.NewBuilder(p.nl, cone.NewInterner(), p.opt.Depth)
 		var bits []*cone.BitCone
 		flush := func() {
 			if len(bits) > 0 {
@@ -578,46 +598,12 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 		p.nl.NetName(bits[0].Net), totalDissim, len(signals))
 
 	baseClasses := classesByKey(bits, nil)
-	bestSize := maxClassSize(baseClasses)
 	var bestTrial *trialResult
-
-	trials := 0
-	stop := false
-	truncated := false
+	var trials int
+	var truncated bool
 	p.rec.Do(p.opt.Context, obs.StageTrial, func() {
 		p.enterStage(obs.StageTrial.String())
-		p.forEachAssignment(signals, func(assign map[netlist.NetID]logic.Value) bool {
-			if stop || trials >= p.opt.MaxTrials || p.cancelled() {
-				return false
-			}
-			if b.MaxTrialsPerGroup > 0 && p.groupTrials >= b.MaxTrialsPerGroup {
-				// Mid-enumeration exhaustion truncates the search but keeps
-				// the evidence gathered so far: the normal fallback below
-				// still uses the best trial seen before the budget ran out.
-				truncated = true
-				return false
-			}
-			trials++
-			p.groupTrials++
-			p.result.Stats.Trials++
-			p.rec.Add(obs.CtrTrials, 1)
-			tr := p.tryAssignment(bits, scope, assign)
-			if tr == nil {
-				p.tracef("subgroup %s: trial %s infeasible", p.nl.NetName(bits[0].Net), p.formatAssign(assign))
-				return true
-			}
-			p.tracef("subgroup %s: trial %s -> max class %d/%d", p.nl.NetName(bits[0].Net), p.formatAssign(assign), tr.maxClass, len(bits))
-			if tr.maxClass == len(bits) {
-				bestTrial = tr
-				stop = true
-				return false
-			}
-			if tr.maxClass > bestSize {
-				bestSize = tr.maxClass
-				bestTrial = tr
-			}
-			return true
-		})
+		bestTrial, trials, truncated = p.runTrials(bits, scope, signals, maxClassSize(baseClasses))
 	})
 	if p.result.Stats.Interrupted {
 		// Cancelled mid-trial-loop: the subgroup's exploration is incomplete,
@@ -704,6 +690,57 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 		}
 		p.emit(w)
 	}
+}
+
+// runTrials is the §2.5 loop: it propagates each assignment of the
+// subgroup's control signals and re-matches the bits on the reduced circuit,
+// stopping at the first assignment that makes every bit fully similar. It
+// returns the best trial (nil unless one beat bestSize, the largest
+// unreduced class), the trials run, and whether the group trial budget cut
+// the enumeration short.
+func (p *pipeline) runTrials(bits []*cone.BitCone, scope map[netlist.NetID]bool, signals []ctrlsig.Signal, bestSize int) (best *trialResult, trials int, truncated bool) {
+	// bestShared marks a best trial whose reduction still shares the
+	// propagator's state. verifyTrial reads it after the loop, so it is
+	// detached before the next trial overwrites that state.
+	bestShared := false
+	b := p.opt.Budgets
+	p.forEachAssignment(signals, func(assign map[netlist.NetID]logic.Value) bool {
+		if trials >= p.opt.MaxTrials || p.cancelled() {
+			return false
+		}
+		if b.MaxTrialsPerGroup > 0 && p.groupTrials >= b.MaxTrialsPerGroup {
+			// Mid-enumeration exhaustion truncates the search but keeps the
+			// evidence gathered so far: the caller's fallback still uses the
+			// best trial seen before the budget ran out.
+			truncated = true
+			return false
+		}
+		trials++
+		p.groupTrials++
+		p.result.Stats.Trials++
+		p.rec.Add(obs.CtrTrials, 1)
+		if bestShared {
+			best.red = best.red.Detach()
+			bestShared = false
+		}
+		tr := p.tryAssignment(bits, scope, assign)
+		if tr == nil {
+			p.tracef("subgroup %s: trial %s infeasible", p.nl.NetName(bits[0].Net), p.formatAssign(assign))
+			return true
+		}
+		p.tracef("subgroup %s: trial %s -> max class %d/%d", p.nl.NetName(bits[0].Net), p.formatAssign(assign), tr.maxClass, len(bits))
+		if tr.maxClass == len(bits) {
+			best = tr
+			return false
+		}
+		if tr.maxClass > bestSize {
+			bestSize = tr.maxClass
+			best = tr
+			bestShared = p.opt.VerifyReduction
+		}
+		return true
+	})
+	return best, trials, truncated
 }
 
 // recordDegradation itemizes one budget violation and counts it for the
@@ -818,7 +855,10 @@ func (p *pipeline) subgroupScope(bits []*cone.BitCone) map[netlist.NetID]bool {
 // confined to the subgroup's cone scope, so trial cost is bounded by the
 // subgroup's cones, not by the size of the reduced region.
 func (p *pipeline) tryAssignment(bits []*cone.BitCone, scope map[netlist.NetID]bool, assign map[netlist.NetID]logic.Value) *trialResult {
-	red, err := reduce.ApplyObserved(p.nl, assign, p.rec)
+	if *p.prop == nil {
+		*p.prop = reduce.NewPropagator(p.nl)
+	}
+	red, err := (*p.prop).Apply(assign, p.rec)
 	if err != nil {
 		p.tracef("reduce conflict: %v", err)
 		return nil

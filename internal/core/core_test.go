@@ -1,12 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"gatewords/internal/cone"
+	"gatewords/internal/ctrlsig"
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
+	"gatewords/internal/reduce"
 )
 
 // wordNet builds one Figure-1-style word at gate level (internals first,
@@ -283,7 +286,7 @@ func TestOptionsDepthClamp(t *testing.T) {
 }
 
 // TestStatsTrialsVsReductions pins the accounting contract: Trials counts
-// every reduce.Apply invocation the enumeration admitted; Reductions counts
+// every assignment the enumeration admitted and propagated; Reductions counts
 // only the feasible ones. The trace records each, so the counters must agree
 // with the trace line-for-line.
 func TestStatsTrialsVsReductions(t *testing.T) {
@@ -329,7 +332,8 @@ func TestTryAssignmentAccounting(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := newPipeline(nl, Options{}.withDefaults())
+	p := newPipeline(nl, Options{}.withDefaults(), new(*reduce.Propagator))
+	p.b = cone.NewBuilder(nl, cone.NewInterner(), p.opt.Depth)
 	bits := []*cone.BitCone{p.b.Bit(bit)}
 	if bits[0] == nil {
 		t.Fatal("no cone for bit")
@@ -418,6 +422,67 @@ func TestFallbackSingletonsUnverified(t *testing.T) {
 		}
 		if w.Verified {
 			t.Errorf("fallback singleton %s emitted as verified", nl.NetName(b))
+		}
+	}
+}
+
+// TestBestTrialSurvivesLaterTrials pins the detach in the trial loop: with
+// reduction verification on, a best trial followed by more trials must
+// still hold its own reduction once the loop ends, although every trial
+// propagates on the same reused state. k=0 makes two of the three bits
+// similar (the best trial); the other three trials improve nothing.
+func TestBestTrialSurvivesLaterTrials(t *testing.T) {
+	nl := netlist.New("t")
+	pi := func(n string) netlist.NetID {
+		id := nl.MustNet(n)
+		nl.MarkPI(id)
+		return id
+	}
+	s, k, j := pi("s"), pi("k"), pi("j")
+	zs := []func(z netlist.NetID){
+		func(z netlist.NetID) { nl.MustGate("gz0", logic.Nand, z, pi("c0"), k) },
+		func(z netlist.NetID) { nl.MustGate("gz1", logic.Nand, z, pi("c1"), pi("m1"), k) },
+		func(z netlist.NetID) { nl.MustGate("gz2", logic.Xor, z, pi("c2"), pi("d2")) },
+	}
+	var nets []netlist.NetID
+	for i, mkZ := range zs {
+		sfx := string(rune('0' + i))
+		x := nl.MustNet("x" + sfx)
+		nl.MustGate("gx"+sfx, logic.Nand, x, pi("a"+sfx), s)
+		z := nl.MustNet("z" + sfx)
+		mkZ(z)
+		bit := nl.MustNet("bit" + sfx)
+		nl.MustGate("gb"+sfx, logic.Nand, bit, x, z)
+		nets = append(nets, bit)
+	}
+	nl.MustGate("gj", logic.Not, nl.MustNet("nj"), j)
+	if err := nl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	p := newPipeline(nl, Options{VerifyReduction: true}.withDefaults(), new(*reduce.Propagator))
+	p.b = cone.NewBuilder(nl, cone.NewInterner(), p.opt.Depth)
+	var bits []*cone.BitCone
+	for _, n := range nets {
+		bits = append(bits, p.b.Bit(n))
+	}
+	values := []logic.Value{logic.Zero, logic.One}
+	signals := []ctrlsig.Signal{{Net: k, Values: values}, {Net: j, Values: values}}
+	p.opt.MaxAssign = 1
+	best, trials, _ := p.runTrials(bits, p.subgroupScope(bits), signals, maxClassSize(classesByKey(bits, nil)))
+	kZero := map[netlist.NetID]logic.Value{k: logic.Zero}
+	if best == nil || best.maxClass != 2 || !reflect.DeepEqual(best.assign, kZero) || trials != 4 {
+		t.Fatalf("want best trial k=0 with a 2-bit class, then three more trials; got %+v after %d trials", best, trials)
+	}
+	want, err := reduce.Apply(nl, kZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nl.NetCount(); i++ {
+		n := netlist.NetID(i)
+		if got := best.red.Value(n); got != want.Value(n) {
+			t.Fatalf("net %s = %s in the best trial's reduction after later trials, want %s",
+				nl.NetName(n), got, want.Value(n))
 		}
 	}
 }

@@ -100,11 +100,11 @@ type Budgets struct {
 	// bits × dissimilar subtrees. It is the cheap upper bound on the work
 	// control-signal discovery does intersecting subtree net sets.
 	MaxSubgroupPairs int
-	// MaxTrialsPerGroup caps assignment trials (reduce.Apply invocations)
-	// across one whole adjacency group, on top of the per-subgroup
-	// Options.MaxTrials cap. When the group budget runs out mid-subgroup,
-	// the enumeration stops and the best evidence so far is kept; later
-	// subgroups in the group skip trials entirely.
+	// MaxTrialsPerGroup caps assignment trials (control assignments
+	// propagated, feasible or not) across one whole adjacency group, on top
+	// of the per-subgroup Options.MaxTrials cap. When the group budget runs
+	// out mid-subgroup, the enumeration stops and the best evidence so far
+	// is kept; later subgroups in the group skip trials entirely.
 	MaxTrialsPerGroup int
 }
 

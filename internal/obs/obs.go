@@ -72,7 +72,8 @@ type Counter uint8
 
 // The work counters. NumCounters bounds the enum.
 const (
-	// CtrTrials counts assignment trials attempted (reduce.Apply calls).
+	// CtrTrials counts assignment trials attempted: control assignments
+	// propagated, feasible or not.
 	CtrTrials Counter = iota
 	// CtrReductions counts feasible trials (propagation without conflict).
 	CtrReductions

@@ -13,7 +13,7 @@ package reduce
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
@@ -23,20 +23,31 @@ import (
 // Reduction is the result of propagating an assignment through a netlist.
 // It implements netlist.View over the simplified circuit.
 type Reduction struct {
-	nl       *netlist.Netlist
-	vals     map[netlist.NetID]logic.Value // per-net inferred constant (absent = live)
+	nl *netlist.Netlist
+	// vals is every net's inferred constant, indexed by NetID (X = live);
+	// trail lists the nets vals assigns, in assignment order, so the state
+	// resets in O(touched) for the next apply (see Propagator).
+	vals     []logic.Value
+	trail    []netlist.NetID
 	conflict bool
 	// ConflictGate names the gate where a contradiction surfaced, for
 	// diagnostics; empty when the assignment is feasible.
 	ConflictGate string
 
-	effKind map[netlist.GateID]logic.Kind
-	effIns  map[netlist.GateID][]netlist.NetID
+	// eff caches the rewritten form of each gate the view has been asked
+	// about; nil until the first query.
+	eff map[netlist.GateID]effGate
 
 	// malformed records the first lenient-netlist gate the propagation could
 	// not evaluate (invalid arity for its kind); it preempts the generic
 	// conflict error.
 	malformed error
+}
+
+// effGate is one gate's rewritten kind and live input pins.
+type effGate struct {
+	kind logic.Kind
+	ins  []netlist.NetID
 }
 
 // ErrConflict is returned by Apply when an assignment is infeasible: the
@@ -61,30 +72,51 @@ func Apply(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value) (*Reductio
 // count and peak worklist depth report into rec (see internal/obs). A nil
 // rec records nothing and costs two local integer updates per visit.
 func ApplyObserved(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value, rec *obs.Recorder) (*Reduction, error) {
-	r := &Reduction{
-		nl:      nl,
-		vals:    make(map[netlist.NetID]logic.Value, 2*len(assign)+16),
-		effKind: make(map[netlist.GateID]logic.Kind),
-		effIns:  make(map[netlist.GateID][]netlist.NetID),
-	}
-	queue := make([]netlist.NetID, 0, len(assign))
-	for n, v := range assign {
-		if !v.Known() {
-			return nil, fmt.Errorf("reduce: assignment of X to net %q", nl.NetName(n))
-		}
-		if r.vals[n].Known() && r.vals[n] != v {
-			return nil, ErrConflict
-		}
-		if !r.vals[n].Known() {
-			r.vals[n] = v
-			queue = append(queue, n)
-		}
+	return NewPropagator(nl).Apply(assign, rec)
+}
+
+// Propagator runs many applies over one netlist on the same dense state:
+// each apply first clears the nets the previous one assigned (the undo
+// trail), so its cost follows the propagation rather than the netlist size,
+// and a warm propagator allocates nothing per apply. The Reduction an apply
+// returns shares that state and is valid only until the next apply; Detach
+// keeps one longer. A Propagator is not safe for concurrent use.
+type Propagator struct {
+	red   Reduction
+	queue []netlist.NetID
+	inbuf []logic.Value
+}
+
+// NewPropagator returns a propagator over nl. Its dense state is sized on
+// the first apply.
+func NewPropagator(nl *netlist.Netlist) *Propagator {
+	return &Propagator{red: Reduction{nl: nl}}
+}
+
+// Apply is ApplyObserved on the propagator's reused state: the returned
+// Reduction is overwritten by the next call.
+func (p *Propagator) Apply(assign map[netlist.NetID]logic.Value, rec *obs.Recorder) (*Reduction, error) {
+	r := &p.red
+	r.reset()
+	if n := r.nl.NetCount(); len(r.vals) < n {
+		r.vals = make([]logic.Value, n)
 	}
 	// The fixpoint is confluent, but the peak-queue-depth gauge reported
-	// below is not: canonicalize the map-ordered seeds so observability
-	// output is as deterministic as the result.
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-	inbuf := make([]logic.Value, 0, 8)
+	// below is not: seed in net order so observability output is as
+	// deterministic as the result.
+	queue := p.queue[:0]
+	for n := range assign {
+		queue = append(queue, n)
+	}
+	slices.Sort(queue)
+	for _, n := range queue {
+		v := assign[n]
+		if !v.Known() {
+			p.queue = queue
+			return nil, fmt.Errorf("reduce: assignment of X to net %q", r.nl.NetName(n))
+		}
+		r.set(n, v)
+	}
 	visits, maxQueue := int64(0), int64(len(queue))
 	for len(queue) > 0 {
 		if q := int64(len(queue)); q > maxQueue {
@@ -95,30 +127,56 @@ func ApplyObserved(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value, re
 
 		// Forward: every fanout gate may now have a determined output, and
 		// a newly known output may backward-imply sibling inputs.
-		net := nl.Net(n)
+		net := r.nl.Net(n)
 		for _, g := range net.Fanout {
 			visits++
-			queue = r.visitGate(g, queue, &inbuf)
+			queue = r.visitGate(g, queue, &p.inbuf)
 			if r.conflict {
-				rec.Add(obs.CtrReduceGateVisits, visits)
-				rec.Max(obs.GaugeReduceQueue, maxQueue)
-				return nil, r.propagationError()
+				break
 			}
 		}
 		// Backward: the driver of n now has a known output.
-		if net.Driver != netlist.NoGate {
+		if !r.conflict && net.Driver != netlist.NoGate {
 			visits++
-			queue = r.visitGate(net.Driver, queue, &inbuf)
-			if r.conflict {
-				rec.Add(obs.CtrReduceGateVisits, visits)
-				rec.Max(obs.GaugeReduceQueue, maxQueue)
-				return nil, r.propagationError()
-			}
+			queue = r.visitGate(net.Driver, queue, &p.inbuf)
+		}
+		if r.conflict {
+			break
 		}
 	}
+	p.queue = queue
 	rec.Add(obs.CtrReduceGateVisits, visits)
 	rec.Max(obs.GaugeReduceQueue, maxQueue)
+	if r.conflict {
+		return nil, r.propagationError()
+	}
 	return r, nil
+}
+
+// reset clears the previous apply's assignments and verdict.
+func (r *Reduction) reset() {
+	for _, n := range r.trail {
+		r.vals[n] = logic.X
+	}
+	r.trail = r.trail[:0]
+	r.conflict, r.ConflictGate, r.malformed = false, "", nil
+	clear(r.eff)
+}
+
+// set records an inferred constant for a live net.
+func (r *Reduction) set(n netlist.NetID, v logic.Value) {
+	r.vals[n] = v
+	r.trail = append(r.trail, n)
+}
+
+// Detach returns a copy of r that owns its state, so it stays valid after
+// the propagator that produced r applies again.
+func (r *Reduction) Detach() *Reduction {
+	d := *r
+	d.vals = slices.Clone(r.vals)
+	d.trail = slices.Clone(r.trail)
+	d.eff = nil
+	return &d
 }
 
 // propagationError renders the reason propagation aborted: the malformed
@@ -163,7 +221,7 @@ func (r *Reduction) visitGate(g netlist.GateID, queue []netlist.NetID, inbuf *[]
 			return queue
 		}
 		if !cur.Known() {
-			r.vals[gate.Output] = out
+			r.set(gate.Output, out)
 			queue = append(queue, gate.Output)
 			cur = out
 		}
@@ -180,7 +238,7 @@ func (r *Reduction) visitGate(g netlist.GateID, queue []netlist.NetID, inbuf *[]
 		if newly > 0 {
 			for i, id := range gate.Inputs {
 				if in[i].Known() && !r.vals[id].Known() {
-					r.vals[id] = in[i]
+					r.set(id, in[i])
 					queue = append(queue, id)
 				}
 			}
@@ -205,10 +263,9 @@ func (r *Reduction) Value(n netlist.NetID) logic.Value { return r.vals[n] }
 // leaves regardless of their inputs (and whose values the propagation never
 // crosses either).
 func (r *Reduction) DirtyDistances(maxDist int) map[netlist.NetID]int {
-	dist := make(map[netlist.NetID]int, 2*len(r.vals))
-	frontier := make([]netlist.NetID, 0, len(r.vals))
-	//anlz:ignore mapdet level-order BFS: dist assigns each net its level, so the returned map is order-independent
-	for n := range r.vals {
+	dist := make(map[netlist.NetID]int, 2*len(r.trail))
+	frontier := make([]netlist.NetID, 0, len(r.trail))
+	for _, n := range r.trail {
 		dist[n] = 0
 		frontier = append(frontier, n)
 	}
@@ -277,15 +334,7 @@ func (r *Reduction) DirtyDistancesIn(scope map[netlist.NetID]bool, maxDist int) 
 }
 
 // AssignedCount returns the number of nets with inferred constants.
-func (r *Reduction) AssignedCount() int {
-	c := 0
-	for _, v := range r.vals {
-		if v.Known() {
-			c++
-		}
-	}
-	return c
-}
+func (r *Reduction) AssignedCount() int { return len(r.trail) }
 
 // RemovedGateCount returns the number of combinational gates whose output
 // became constant (and which therefore disappear from the reduced circuit).
@@ -319,39 +368,35 @@ func (r *Reduction) DriverOf(n netlist.NetID) netlist.GateID {
 
 // GateKind implements netlist.View, reporting the rewritten kind (e.g. a
 // NAND reduced to a single live input reports NOT).
-func (r *Reduction) GateKind(g netlist.GateID) logic.Kind {
-	if k, ok := r.effKind[g]; ok {
-		return k
-	}
-	k, ins := r.effective(g)
-	r.effKind[g] = k
-	r.effIns[g] = ins
-	return k
-}
+func (r *Reduction) GateKind(g netlist.GateID) logic.Kind { return r.effective(g).kind }
 
 // GateInputs implements netlist.View, returning only the live input pins of
 // the rewritten gate.
 func (r *Reduction) GateInputs(g netlist.GateID, buf []netlist.NetID) []netlist.NetID {
-	if ins, ok := r.effIns[g]; ok {
-		return append(buf, ins...)
-	}
-	k, ins := r.effective(g)
-	r.effKind[g] = k
-	r.effIns[g] = ins
-	return append(buf, ins...)
+	return append(buf, r.effective(g).ins...)
 }
 
-func (r *Reduction) effective(g netlist.GateID) (logic.Kind, []netlist.NetID) {
+// effective returns g's rewritten form, computing and caching it on first
+// use.
+func (r *Reduction) effective(g netlist.GateID) effGate {
+	if e, ok := r.eff[g]; ok {
+		return e
+	}
 	gate := r.nl.Gate(g)
 	kind, ins, _, err := TrySimplifyGate(gate.Kind, gate.Inputs, func(n netlist.NetID) logic.Value {
 		return r.vals[n]
 	})
+	e := effGate{kind: kind, ins: ins}
 	if err != nil {
 		// View methods cannot fail; a malformed gate (lenient netlist)
 		// passes through unrewritten and renders as its original structure.
-		return gate.Kind, append([]netlist.NetID(nil), gate.Inputs...)
+		e = effGate{kind: gate.Kind, ins: append([]netlist.NetID(nil), gate.Inputs...)}
 	}
-	return kind, ins
+	if r.eff == nil {
+		r.eff = make(map[netlist.GateID]effGate)
+	}
+	r.eff[g] = e
+	return e
 }
 
 var _ netlist.View = (*Reduction)(nil)

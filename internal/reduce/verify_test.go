@@ -96,8 +96,7 @@ func TestVerifyConesRefutesBrokenRewrite(t *testing.T) {
 	// Legitimate rewrite: g2 (y = x|b with x=0) becomes BUF b. Break it by
 	// forcing the overlay to claim NOT b instead.
 	g2 := nl.Net(y).Driver
-	red.effKind[g2] = logic.Not
-	red.effIns[g2] = []netlist.NetID{b}
+	red.eff = map[netlist.GateID]effGate{g2: {kind: logic.Not, ins: []netlist.NetID{b}}}
 
 	res := red.VerifyCones([]netlist.NetID{y}, 8, eqcheck.Options{})
 	if res.Refuted != 1 {
