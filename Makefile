@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check gatevet vet-fix faults serve-smoke chaos chaos-long bench bench-eqcheck bench-eqcheck-smoke bench-pipeline bench-pipeline-smoke bench-scoap bench-scoap-smoke race
+.PHONY: build test check gatevet vet-fix faults serve-smoke chaos chaos-long bench bench-eqcheck bench-eqcheck-smoke bench-pipeline bench-pipeline-smoke bench-scoap bench-scoap-smoke perfbench-check race
 
 build:
 	$(GO) build ./...
@@ -32,7 +32,8 @@ vet-fix:
 # check is the full pre-commit gate: vet, formatting, the contract
 # analyzers, the race-detector test pass (which subsumes the plain test
 # pass — every test runs exactly once, instrumented), the fault-injection
-# matrix, the daemon smoke, and the bench emitter smokes. gatevet runs
+# matrix, the daemon smoke, the bench emitter smokes, and the benchmark
+# module's vet and tests. gatevet runs
 # before the test passes: contract findings are cheaper to surface than a
 # full race run.
 check:
@@ -46,6 +47,13 @@ check:
 	$(MAKE) chaos
 	$(MAKE) bench-scoap-smoke
 	$(MAKE) bench-eqcheck-smoke
+	$(MAKE) perfbench-check
+
+# perfbench-check vets and tests the repository benchmark (perfbench/, see
+# BENCHMARK.json). It is a nested module outside ./..., so no other target
+# compiles it, yet it imports the internal packages it measures (~2s).
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # faults runs the fault-injection matrix under the race detector: the guard
 # package's own tests, every stage-level injection point (TestFaultMatrix

@@ -6,9 +6,8 @@
 // generated circuit. BenchmarkFigure1 exercises the paper's running
 // example. The Ablation benchmarks measure the design choices DESIGN.md
 // calls out: assignment budget (the paper's §2.5 singles-then-pairs and its
-// future-work triples), fanin-cone depth (§2.1 argues 2–4 levels), the
-// cohesive partial-group rule, and backwardless reduction is covered by the
-// reduce micro-benchmarks.
+// future-work triples), fanin-cone depth (§2.1 argues 2–4 levels), and the
+// cohesive partial-group rule.
 //
 // Run with: go test -bench=. -benchmem
 package gatewords

@@ -21,7 +21,9 @@ import (
 )
 
 // Reduction is the result of propagating an assignment through a netlist.
-// It implements netlist.View over the simplified circuit.
+// It implements netlist.View over the simplified circuit. One returned by
+// Propagator.Apply is valid until that propagator's next apply; Detach
+// keeps it longer.
 type Reduction struct {
 	nl *netlist.Netlist
 	// vals is every net's inferred constant, indexed by NetID (X = live);
@@ -78,9 +80,8 @@ func ApplyObserved(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value, re
 // Propagator runs many applies over one netlist on the same dense state:
 // each apply first clears the nets the previous one assigned (the undo
 // trail), so its cost follows the propagation rather than the netlist size,
-// and a warm propagator allocates nothing per apply. The Reduction an apply
-// returns shares that state and is valid only until the next apply; Detach
-// keeps one longer. A Propagator is not safe for concurrent use.
+// and its buffers are reused from apply to apply. The Reduction an apply
+// returns shares that state. A Propagator is not safe for concurrent use.
 type Propagator struct {
 	red   Reduction
 	queue []netlist.NetID
