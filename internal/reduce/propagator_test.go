@@ -81,7 +81,7 @@ func requireSameReduction(t *testing.T, what string, nl *netlist.Netlist, got, w
 // assignments. Reductions detached along the way must keep their values
 // and still verify after later applies.
 func TestPropagatorMatchesApply(t *testing.T) {
-	var partialConflicts, xErrors, malformed, proved int
+	var partialConflicts, afterConflict, xErrors, malformed, proved int
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nl := randomComb(rng)
@@ -93,6 +93,7 @@ func TestPropagatorMatchesApply(t *testing.T) {
 		type kept struct{ got, want *Reduction }
 		var detached []kept
 		prop := NewPropagator(nl)
+		prevPartial := false
 		for step := 0; step < 60; step++ {
 			assign := randomAssign(rng, nl)
 			gotRec, wantRec := obs.New(), obs.New()
@@ -114,6 +115,7 @@ func TestPropagatorMatchesApply(t *testing.T) {
 			case errors.Is(wantErr, ErrConflict):
 				if touched > len(assign) {
 					partialConflicts++
+					prevPartial = true
 				}
 				continue
 			case strings.Contains(wantErr.Error(), "assignment of X"):
@@ -123,6 +125,10 @@ func TestPropagatorMatchesApply(t *testing.T) {
 				t.Fatalf("%s: unexpected error %v", what, wantErr)
 			}
 			requireSameReduction(t, what, nl, got, want)
+			if prevPartial {
+				afterConflict++
+				prevPartial = false
+			}
 			if rng.Intn(4) == 0 {
 				detached = append(detached, kept{got: got.Detach(), want: want})
 			}
@@ -139,8 +145,8 @@ func TestPropagatorMatchesApply(t *testing.T) {
 		}
 	}
 	// The random sequence must actually reach every case it claims to cover.
-	if partialConflicts == 0 || xErrors == 0 || malformed == 0 || proved == 0 {
-		t.Errorf("coverage: %d partial conflicts, %d X errors, %d malformed gates, %d detached cones proved",
-			partialConflicts, xErrors, malformed, proved)
+	if partialConflicts == 0 || afterConflict == 0 || xErrors == 0 || malformed == 0 || proved == 0 {
+		t.Errorf("coverage: %d partial conflicts (%d followed by a feasible apply), %d X errors, %d malformed gates, %d detached cones proved",
+			partialConflicts, afterConflict, xErrors, malformed, proved)
 	}
 }
