@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check gatevet vet-fix faults serve-smoke chaos chaos-long bench bench-eqcheck bench-eqcheck-smoke bench-pipeline bench-pipeline-smoke bench-scoap bench-scoap-smoke perfbench-check race
+.PHONY: build test check gatevet vet-fix faults serve-smoke chaos chaos-long bench bench-eqcheck bench-eqcheck-smoke bench-pipeline bench-pipeline-smoke bench-scoap bench-scoap-smoke perfbench-check perfbench-smoke race
 
 build:
 	$(GO) build ./...
@@ -33,7 +33,7 @@ vet-fix:
 # analyzers, the race-detector test pass (which subsumes the plain test
 # pass — every test runs exactly once, instrumented), the fault-injection
 # matrix, the daemon smoke, the bench emitter smokes, and the benchmark
-# module's vet and tests. gatevet runs
+# module's vet, tests and workload smoke. gatevet runs
 # before the test passes: contract findings are cheaper to surface than a
 # full race run.
 check:
@@ -48,12 +48,27 @@ check:
 	$(MAKE) bench-scoap-smoke
 	$(MAKE) bench-eqcheck-smoke
 	$(MAKE) perfbench-check
+	$(MAKE) perfbench-smoke
 
 # perfbench-check vets and tests the repository benchmark (perfbench/, see
 # BENCHMARK.json). It is a nested module outside ./..., so no other target
 # compiles it, yet it imports the internal packages it measures (~2s).
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# perfbench-smoke runs each gated benchmark workload for 2 s, untraced, and
+# b14 once more traced, and fails unless every result line reports
+# "correct":true and "failed":0. The benchmark checks its own output outside
+# the timed window (sequential against Workers: 2 reports, served against
+# direct reports, journal replay, exact counter repeats in traced runs), so
+# this keeps those checks running on every change (~20s after the build).
+perfbench-smoke:
+	@for args in "b14 --trace 0" "audit --trace 0" "serve --trace 0" "b14 --trace 1"; do \
+		line=$$(bash perfbench/run.sh --seconds 2 --workload $$args | tail -n 1); \
+		echo "perfbench --workload $$args: $$line"; \
+		echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -Eq '"failed":0[,}]' || \
+			{ echo "perfbench-smoke: --workload $$args failed its checks"; exit 1; }; \
+	done
 
 # faults runs the fault-injection matrix under the race detector: the guard
 # package's own tests, every stage-level injection point (TestFaultMatrix

@@ -75,11 +75,18 @@ type BitCone struct {
 // Builder computes cones and hash keys against one netlist.View. It
 // memoizes subtree keys per (net, depth), which is what makes whole-design
 // analysis linear in practice despite tree unfolding.
+//
+// The memo is dense: memo[d-1][net] holds the key of subtree (net, d) plus
+// one, 0 meaning not yet computed. A row exists only for depths a walk has
+// reached and grows to the highest NetID keyed at that depth. trail lists
+// the entries set since the last Reset, which clears exactly those.
 type Builder struct {
 	view   netlist.View
 	intern *Interner
 	depth  int
-	memo   map[memoKey]KeyID
+	memo   [][]KeyID
+	trail  []memoKey
+	rowLen int // a new row's length: the view's net count, when it has one
 	inbuf  []netlist.NetID
 	idbuf  []KeyID
 	frames []keyFrame
@@ -121,7 +128,28 @@ func NewBuilder(view netlist.View, intern *Interner, depth int) *Builder {
 	if depth > MaxDepth {
 		depth = MaxDepth
 	}
-	return &Builder{view: view, intern: intern, depth: depth, memo: make(map[memoKey]KeyID)}
+	b := &Builder{view: view, intern: intern, depth: depth}
+	if nc, ok := view.(interface{ NetCount() int }); ok {
+		b.rowLen = nc.NetCount()
+	}
+	return b
+}
+
+// Reset readies the builder for the next analysis over the same view: it
+// forgets every key made since the last reset and resets its Interner, so
+// it then hands out exactly the keys and KeyIDs a fresh
+// NewBuilder(view, NewInterner(), depth) would. It costs O(keys made) and
+// keeps the memo rows, the interner's probe table and all scratch.
+//
+// Reset invalidates every KeyID and BitCone handed out before it, by this
+// builder, by an Overlay over it, or by another builder sharing its
+// Interner.
+func (b *Builder) Reset() {
+	for _, mk := range b.trail {
+		b.memo[mk.depth-1][mk.net] = 0
+	}
+	b.trail = b.trail[:0]
+	b.intern.Reset()
 }
 
 // Depth returns the configured cone depth.
@@ -190,9 +218,11 @@ func (b *Builder) subtreeKey(net netlist.NetID, depth, level int) KeyID {
 	if depth <= 0 {
 		return LeafKey
 	}
-	mk := memoKey{net: net, depth: int32(depth)}
-	if id, ok := b.memo[mk]; ok {
-		return id
+	for len(b.memo) < depth {
+		b.memo = append(b.memo, nil)
+	}
+	if row := b.memo[depth-1]; int(net) < len(row) && row[net] != 0 {
+		return row[net] - 1
 	}
 	id := LeafKey
 	if _, isConst := b.view.NetConst(net); !isConst {
@@ -213,7 +243,13 @@ func (b *Builder) subtreeKey(net netlist.NetID, depth, level int) KeyID {
 			}
 		}
 	}
-	b.memo[mk] = id
+	row := b.memo[depth-1]
+	if int(net) >= len(row) {
+		row = append(row, make([]KeyID, max(int(net)+1, b.rowLen)-len(row))...)
+		b.memo[depth-1] = row
+	}
+	row[net] = id + 1
+	b.trail = append(b.trail, memoKey{net: net, depth: int32(depth)})
 	return id
 }
 

@@ -69,6 +69,31 @@ func NewInterner() *Interner {
 	return it
 }
 
+// Reset empties the interner back to what NewInterner returns, so the next
+// keys get the IDs a fresh interner would give them: 1, 2, ... in
+// first-intern order. It clears only the probe slots its nodes occupy and
+// truncates its arrays back to the leaf, so it costs O(keys interned); the
+// probe table keeps its size. Every KeyID handed out before Reset becomes
+// meaningless.
+func (it *Interner) Reset() {
+	mask := uint64(len(it.table) - 1)
+	for id := 1; id < len(it.nodes); id++ {
+		if it.nodes[id].tag != tagGate {
+			continue
+		}
+		idx := it.hashes[id] & mask
+		for it.table[idx] != int32(id)+1 {
+			idx = (idx + 1) & mask
+		}
+		it.table[idx] = 0
+	}
+	it.nodes = it.nodes[:1]
+	it.hashes = it.hashes[:1]
+	it.childIDs = it.childIDs[:0]
+	clear(it.atoms)
+	clear(it.strs)
+}
+
 // fnv-1a over the (kind, children, arity) tuple.
 func hashNode(kind logic.Kind, children []KeyID) uint64 {
 	const (

@@ -90,11 +90,12 @@ type Options struct {
 	// is complete, never a half-merged subgroup — with Stats.Interrupted set.
 	Context context.Context
 	// Observer, when non-nil, receives per-stage wall times, work counters,
-	// and peak gauges (see internal/obs). Every group — sequential or
-	// parallel — records into a private per-group recorder; the per-group
-	// recorders are merged into Observer in group order, so the observed
-	// totals (and the Result) are independent of worker scheduling. A nil
-	// Observer costs nothing on the hot path.
+	// and peak gauges (see internal/obs). A sequential run records into it
+	// directly; each parallel worker records into a private recorder that is
+	// merged into Observer after the pool drains. Counters and stage times
+	// add and gauges keep maxima, so the observed totals (and the Result)
+	// are independent of worker scheduling. A nil Observer costs nothing on
+	// the hot path.
 	Observer *obs.Recorder
 	// Budgets bounds per-group pipeline work (cone scope, matching cross
 	// product, assignment trials). A subgroup that exceeds a budget degrades
@@ -242,61 +243,67 @@ func Identify(nl *netlist.Netlist, opt Options) *Result {
 	}
 
 	outs := make([]groupOutcome, len(groups))
-	var prop *reduce.Propagator
+	w := &worker{rec: opt.Observer}
 	for gi := range groups {
-		outs[gi] = runGroup(nl, opt, gi, groups[gi], &prop)
+		outs[gi] = runGroup(nl, opt, gi, groups[gi], w)
 		if opt.FailFast && outs[gi].failure != nil {
 			break
 		}
 	}
-	return mergeOutcomes(len(groups), outs, opt.Observer)
+	return mergeOutcomes(len(groups), outs)
 }
 
-func newPipeline(nl *netlist.Netlist, opt Options, prop **reduce.Propagator) *pipeline {
+// worker is the identification state that one sequential run or one
+// parallel worker carries from group to group, so that groups reset it
+// instead of rebuilding it: the propagator clears its undo trail on every
+// apply, the builder forgets its keys and restarts its interner's numbering
+// for each multi-net group, and the overlay is repointed on every trial.
+// Each is created on first use. rec is where the worker's groups record:
+// Options.Observer itself on the sequential path, a private recorder merged
+// into it after the pool drains on the parallel path (nil when the run is
+// not observed).
+type worker struct {
+	prop *reduce.Propagator
+	b    *cone.Builder
+	ov   *cone.Overlay
+	rec  *obs.Recorder
+}
+
+func newPipeline(nl *netlist.Netlist, opt Options, w *worker) *pipeline {
 	return &pipeline{
+		worker: w,
 		nl:     nl,
 		opt:    opt,
-		rec:    opt.Observer,
-		prop:   prop,
-		used:   make(map[netlist.NetID]bool),
-		found:  make(map[netlist.NetID]bool),
 		result: &Result{},
 		stage:  "init",
 	}
 }
 
 // groupOutcome is one adjacency group's contribution to the run: its partial
-// Result, its private observer recorder (nil without an Observer), and the
-// recovered failure if its pipeline panicked. A zero outcome (nil res) marks
-// a group that never ran because FailFast stopped the run first.
+// Result and the recovered failure if its pipeline panicked. A zero outcome
+// (nil res) marks a group that never ran because FailFast stopped the run
+// first.
 type groupOutcome struct {
 	res     *Result
-	rec     *obs.Recorder
 	failure *guard.GroupFailure
 }
 
 // runGroup runs one adjacency group through a fresh pipeline inside the
-// group's failure domain. Each group gets a private recorder (and, when it
-// has more than one net, a private interner/builder: hash keys are only ever
-// compared within a group), and runs under a recover boundary: a panic
-// anywhere in the group's pipeline — including construction — becomes a
-// GroupFailure, the group's partial result and observations are discarded
-// wholesale (replaced by an empty Result and a recorder holding only the
-// recovery count), and the caller merges the surviving groups as if the
-// failed one had produced no words.
+// group's failure domain, on the state of the worker w running it. A panic
+// anywhere in the group's pipeline — including construction — is recovered
+// here and becomes a GroupFailure: the group's partial result is discarded
+// wholesale (replaced by an empty Result), and the caller merges the
+// surviving groups as if the failed one had produced no words.
 //
-// prop is the propagator slot of the sequential run or parallel worker
-// running the group: the pipeline creates the propagator on its first trial
-// and reuses it across groups, since every apply resets it. A panic drops
-// it, so a propagation cut short never reaches the next group.
-func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID, prop **reduce.Propagator) (out groupOutcome) {
-	parent := opt.Observer
-	if parent != nil {
-		out.rec = obs.New()
-		if parent.ProfileLabelsEnabled() {
-			out.rec.EnableProfileLabels()
-		}
-		opt.Observer = out.rec
+// The group records into w.rec behind a snapshot: the recorder is a
+// fixed-size value, copied before the group runs. A panic restores the copy
+// and counts the recovery, so a failed group's observations are discarded
+// too. It also drops w's propagator, builder and overlay, so a propagation
+// or keying walk cut short never reaches the next group.
+func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID, w *worker) (out groupOutcome) {
+	var snap obs.Recorder
+	if w.rec != nil {
+		snap = *w.rec
 	}
 	var p *pipeline
 	defer func() {
@@ -307,20 +314,24 @@ func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID, pr
 			}
 			out.failure = guard.NewGroupFailure(gi, stage, v)
 			out.res = &Result{}
-			*prop = nil
-			if parent != nil {
-				out.rec = obs.New()
-				out.rec.Add(obs.CtrPanicsRecovered, 1)
+			w.prop, w.b, w.ov = nil, nil, nil
+			if w.rec != nil {
+				*w.rec = snap
+				w.rec.Add(obs.CtrPanicsRecovered, 1)
 			}
 		}
 	}()
-	p = newPipeline(nl, opt, prop)
+	p = newPipeline(nl, opt, w)
 	p.group = gi
 	if !p.cancelled() {
 		p.processGroup(nets)
 	}
-	p.result.UsedControlSignals = sortedNets(p.used)
-	p.result.FoundControlSignals = sortedNets(p.found)
+	if len(p.used) > 0 {
+		p.result.UsedControlSignals = sortedNets(p.used)
+	}
+	if len(p.found) > 0 {
+		p.result.FoundControlSignals = sortedNets(p.found)
+	}
 	if len(p.result.Degradations) > 0 {
 		p.result.Stats.DegradedGroups = 1
 	}
@@ -331,19 +342,24 @@ func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID, pr
 // mergeOutcomes folds per-group outcomes into one Result, in group order, so
 // the output is identical between the sequential and parallel paths
 // regardless of worker scheduling. Failed groups contribute their failure
-// record and recovery counter; fail-fast-skipped groups (zero outcomes)
-// contribute nothing.
-func mergeOutcomes(nGroups int, outs []groupOutcome, parent *obs.Recorder) *Result {
+// record; fail-fast-skipped groups (zero outcomes) contribute nothing.
+func mergeOutcomes(nGroups int, outs []groupOutcome) *Result {
 	merged := &Result{}
 	merged.Stats.Groups = nGroups
+	nWords := 0
+	for _, out := range outs {
+		if out.res != nil {
+			nWords += len(out.res.Words)
+		}
+	}
+	if nWords > 0 {
+		merged.Words = make([]Word, 0, nWords)
+	}
 	used := make(map[netlist.NetID]bool)
 	found := make(map[netlist.NetID]bool)
 	for _, out := range outs {
 		if out.failure != nil {
 			merged.Failures = append(merged.Failures, *out.failure)
-		}
-		if parent != nil && out.rec != nil {
-			parent.Merge(out.rec)
 		}
 		r := out.res
 		if r == nil {
@@ -379,12 +395,23 @@ func mergeOutcomes(nGroups int, outs []groupOutcome, parent *obs.Recorder) *Resu
 // identifyParallel fans adjacency groups out over a worker pool. Each group
 // runs in its own failure domain (runGroup), and per-group outcomes merge in
 // group order so the output matches the sequential pipeline exactly
-// regardless of worker scheduling. Under FailFast, workers stop picking up
-// new groups once any group fails; which in-flight groups complete depends
-// on scheduling, so a fail-fast parallel result is best-effort (the
-// non-fail-fast result is deterministic).
+// regardless of worker scheduling. Each worker records into its own
+// recorder, merged into Options.Observer once the pool drains; sums and
+// maxima do not depend on which worker ran which group. Under FailFast,
+// workers stop picking up new groups once any group fails; which in-flight
+// groups complete depends on scheduling, so a fail-fast parallel result is
+// best-effort (the non-fail-fast result is deterministic).
 func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID, workers int) *Result {
 	outs := make([]groupOutcome, len(groups))
+	states := make([]worker, workers)
+	if opt.Observer != nil {
+		for i := range states {
+			states[i].rec = obs.New()
+			if opt.Observer.ProfileLabelsEnabled() {
+				states[i].rec.EnableProfileLabels()
+			}
+		}
+	}
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	// Pool-level failures: panics that escape runGroup's per-group boundary
@@ -396,7 +423,8 @@ func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID
 	// in the backstop: every index is deposited up front regardless of how
 	// many workers survive to drain it.
 	work := make(chan int, len(groups))
-	for w := 0; w < workers; w++ {
+	for i := range states {
+		w := &states[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -406,12 +434,11 @@ func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID
 				poolFailures = append(poolFailures, *f)
 				poolMu.Unlock()
 			})
-			var prop *reduce.Propagator // this worker's; see runGroup
 			for gi := range work {
 				if opt.FailFast && failed.Load() {
 					continue
 				}
-				outs[gi] = runGroup(nl, opt, gi, groups[gi], &prop)
+				outs[gi] = runGroup(nl, opt, gi, groups[gi], w)
 				if outs[gi].failure != nil {
 					failed.Store(true)
 				}
@@ -423,18 +450,24 @@ func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID
 	}
 	close(work)
 	wg.Wait()
-	merged := mergeOutcomes(len(groups), outs, opt.Observer)
+	for i := range states {
+		opt.Observer.Merge(states[i].rec)
+	}
+	merged := mergeOutcomes(len(groups), outs)
 	merged.Failures = append(merged.Failures, poolFailures...)
 	return merged
 }
 
+// pipeline runs one adjacency group on the state of the worker running it:
+// rec (nil disables observation at ~zero cost), the builder processGroup
+// makes or resets for a multi-net group, and the overlay and propagator the
+// trials reuse.
 type pipeline struct {
-	nl     *netlist.Netlist
-	opt    Options
-	rec    *obs.Recorder       // nil disables observation at ~zero cost
-	b      *cone.Builder       // created by processGroup for multi-net groups
-	ov     *cone.Overlay       // lazily created, reused across assignment trials
-	prop   **reduce.Propagator // see runGroup
+	*worker
+	nl  *netlist.Netlist
+	opt Options
+	// used and found collect the group's control signals; nil until the
+	// group finds one, as most groups never do.
 	used   map[netlist.NetID]bool
 	found  map[netlist.NetID]bool
 	result *Result
@@ -501,9 +534,15 @@ func (p *pipeline) processGroup(nets []netlist.NetID) {
 			}
 			return
 		}
-		// A fresh interner per group: numeric KeyID order sorts subtrees,
-		// and through them the order of control signals and trials.
-		p.b = cone.NewBuilder(p.nl, cone.NewInterner(), p.opt.Depth)
+		// One interner numbering per group: numeric KeyID order sorts
+		// subtrees, and through them the order of control signals and
+		// trials. The worker's builder, once made, is reset for each group
+		// and then hands out the IDs a fresh one would.
+		if p.b == nil {
+			p.b = cone.NewBuilder(p.nl, cone.NewInterner(), p.opt.Depth)
+		} else {
+			p.b.Reset()
+		}
 		var bits []*cone.BitCone
 		flush := func() {
 			if len(bits) > 0 {
@@ -592,7 +631,7 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 		signals = signals[:p.opt.MaxControlSignals]
 	}
 	for _, s := range signals {
-		p.found[s.Net] = true
+		mark(&p.found, s.Net)
 	}
 	p.tracef("subgroup %s: %d dissimilar subtrees, %d control signals",
 		p.nl.NetName(bits[0].Net), totalDissim, len(signals))
@@ -620,9 +659,7 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 	if bestTrial != nil && bestTrial.maxClass == len(bits) {
 		// The assignment made every bit fully similar: one verified word.
 		ctrls := assignNets(bestTrial.assign)
-		for _, c := range ctrls {
-			p.used[c] = true
-		}
+		mark(&p.used, ctrls...)
 		p.result.Stats.ReducedWords++
 		p.tracef("subgroup %s: verified %d-bit word via assignment %s",
 			p.nl.NetName(bits[0].Net), len(bits), p.formatAssign(bestTrial.assign))
@@ -653,9 +690,7 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 		classes = bestTrial.classes
 		ctrls = assignNets(bestTrial.assign)
 		assign = bestTrial.assign
-		for _, c := range ctrls {
-			p.used[c] = true
-		}
+		mark(&p.used, ctrls...)
 		p.result.Stats.ReducedWords++
 		if p.opt.VerifyReduction {
 			// Verify only the bits that ride the reduction into a word:
@@ -724,11 +759,12 @@ func (p *pipeline) runTrials(bits []*cone.BitCone, scope map[netlist.NetID]bool,
 			bestShared = false
 		}
 		tr := p.tryAssignment(bits, scope, assign)
+		if p.opt.CollectTrace {
+			p.traceTrial(bits, assign, tr)
+		}
 		if tr == nil {
-			p.tracef("subgroup %s: trial %s infeasible", p.nl.NetName(bits[0].Net), p.formatAssign(assign))
 			return true
 		}
-		p.tracef("subgroup %s: trial %s -> max class %d/%d", p.nl.NetName(bits[0].Net), p.formatAssign(assign), tr.maxClass, len(bits))
 		if tr.maxClass == len(bits) {
 			best = tr
 			return false
@@ -741,6 +777,16 @@ func (p *pipeline) runTrials(bits []*cone.BitCone, scope map[netlist.NetID]bool,
 		return true
 	})
 	return best, trials, truncated
+}
+
+// traceTrial logs one trial's verdict. Callers check CollectTrace first: an
+// untraced run never formats the assignment.
+func (p *pipeline) traceTrial(bits []*cone.BitCone, assign map[netlist.NetID]logic.Value, tr *trialResult) {
+	if tr == nil {
+		p.tracef("subgroup %s: trial %s infeasible", p.nl.NetName(bits[0].Net), p.formatAssign(assign))
+		return
+	}
+	p.tracef("subgroup %s: trial %s -> max class %d/%d", p.nl.NetName(bits[0].Net), p.formatAssign(assign), tr.maxClass, len(bits))
 }
 
 // recordDegradation itemizes one budget violation and counts it for the
@@ -855,12 +901,14 @@ func (p *pipeline) subgroupScope(bits []*cone.BitCone) map[netlist.NetID]bool {
 // confined to the subgroup's cone scope, so trial cost is bounded by the
 // subgroup's cones, not by the size of the reduced region.
 func (p *pipeline) tryAssignment(bits []*cone.BitCone, scope map[netlist.NetID]bool, assign map[netlist.NetID]logic.Value) *trialResult {
-	if *p.prop == nil {
-		*p.prop = reduce.NewPropagator(p.nl)
+	if p.prop == nil {
+		p.prop = reduce.NewPropagator(p.nl)
 	}
-	red, err := (*p.prop).Apply(assign, p.rec)
+	red, err := p.prop.Apply(assign, p.rec)
 	if err != nil {
-		p.tracef("reduce conflict: %v", err)
+		if p.opt.CollectTrace {
+			p.tracef("reduce conflict: %v", err)
+		}
 		return nil
 	}
 	p.result.Stats.Reductions++
@@ -875,7 +923,9 @@ func (p *pipeline) tryAssignment(bits []*cone.BitCone, scope map[netlist.NetID]b
 	for i, bc := range bits {
 		nb := p.ov.Bit(bc.Net)
 		if nb == nil {
-			p.tracef("bit %s simplified away (const=%v)", p.nl.NetName(bc.Net), red.Value(bc.Net))
+			if p.opt.CollectTrace {
+				p.tracef("bit %s simplified away (const=%v)", p.nl.NetName(bc.Net), red.Value(bc.Net))
+			}
 			return nil
 		}
 		newBits[i] = nb
@@ -1010,6 +1060,16 @@ func assignNets(assign map[netlist.NetID]logic.Value) []netlist.NetID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// mark adds nets to the set *m, allocating it on first use.
+func mark(m *map[netlist.NetID]bool, nets ...netlist.NetID) {
+	if *m == nil {
+		*m = make(map[netlist.NetID]bool)
+	}
+	for _, n := range nets {
+		(*m)[n] = true
+	}
 }
 
 func sortedNets(m map[netlist.NetID]bool) []netlist.NetID {

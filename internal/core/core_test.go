@@ -332,7 +332,7 @@ func TestTryAssignmentAccounting(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := newPipeline(nl, Options{}.withDefaults(), new(*reduce.Propagator))
+	p := newPipeline(nl, Options{}.withDefaults(), &worker{})
 	p.b = cone.NewBuilder(nl, cone.NewInterner(), p.opt.Depth)
 	bits := []*cone.BitCone{p.b.Bit(bit)}
 	if bits[0] == nil {
@@ -460,7 +460,7 @@ func TestBestTrialSurvivesLaterTrials(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := newPipeline(nl, Options{VerifyReduction: true}.withDefaults(), new(*reduce.Propagator))
+	p := newPipeline(nl, Options{VerifyReduction: true}.withDefaults(), &worker{})
 	p.b = cone.NewBuilder(nl, cone.NewInterner(), p.opt.Depth)
 	var bits []*cone.BitCone
 	for _, n := range nets {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"gatewords/internal/group"
 	"gatewords/internal/guard"
 	"gatewords/internal/netlist"
 	"gatewords/internal/obs"
@@ -146,5 +147,54 @@ func TestFaultBudgetDegradation(t *testing.T) {
 				t.Error("parallel degraded words differ from sequential")
 			}
 		})
+	}
+}
+
+// TestFaultObservationsRolledBack pins the recorder snapshot in runGroup: a
+// group that panics after it has recorded trials and propagation work must
+// leave nothing in the observer but the recovery count. The fault is planted
+// in the verify stage of the first group that reaches it. In both paths,
+// every counter and every stage's span count must equal the clean run's,
+// minus what that group records when run alone, plus one panics_recovered.
+func TestFaultObservationsRolledBack(t *testing.T) {
+	defer guard.Reset()
+	nl := bigNet(t)
+	opt := Options{VerifyReduction: true}.withDefaults()
+	victim, alone := -1, obs.New()
+	for gi, nets := range group.Adjacent(nl, group.Options{}) {
+		rec := obs.New()
+		runGroup(nl, opt, gi, nets, &worker{rec: rec})
+		if rec.StageSpans(obs.StageVerify) > 0 && rec.Count(obs.CtrReduceGateVisits) > 0 {
+			victim, alone = gi, rec
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no group reaches the verify stage")
+	}
+	clean := obs.New()
+	Identify(nl, Options{VerifyReduction: true, Observer: clean})
+	for _, workers := range []int{0, 4} {
+		guard.Reset()
+		guard.Plant(obs.StageVerify.String(), victim)
+		rec := obs.New()
+		res := Identify(nl, Options{VerifyReduction: true, Workers: workers, Observer: rec})
+		if len(res.Failures) != 1 || res.Failures[0].Group != victim {
+			t.Fatalf("workers=%d: Failures = %v, want one in group %d", workers, res.Failures, victim)
+		}
+		for c := obs.Counter(0); c < obs.NumCounters; c++ {
+			want := clean.Count(c) - alone.Count(c)
+			if c == obs.CtrPanicsRecovered {
+				want++
+			}
+			if got := rec.Count(c); got != want {
+				t.Errorf("workers=%d: counter %s = %d, want %d", workers, c, got, want)
+			}
+		}
+		for s := obs.Stage(0); s < obs.NumStages; s++ {
+			if got, want := rec.StageSpans(s), clean.StageSpans(s)-alone.StageSpans(s); got != want {
+				t.Errorf("workers=%d: stage %s spans = %d, want %d", workers, s, got, want)
+			}
+		}
 	}
 }

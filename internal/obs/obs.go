@@ -9,9 +9,11 @@
 // one nil check and nothing else (pinned by BenchmarkObserverOff against
 // BenchmarkObserverOn at the module root). When enabled, a Recorder is a
 // couple of fixed arrays — no maps, no locks — so one recorder per worker is
-// cheap and recorders merge deterministically (Merge is commutative over
-// sums and maxima, and the parallel pipeline merges per-group recorders in
-// group order).
+// cheap and recorders merge deterministically: Merge adds sums and keeps
+// maxima, so the parallel pipeline's per-worker recorders merge to the same
+// totals in any order. Being a fixed-size value, a Recorder is also its own
+// snapshot: the pipeline copies a worker's recorder before each group and
+// restores the copy if the group panics.
 //
 // Stage regions can additionally be labeled for CPU profiling: after
 // EnableProfileLabels, Do wraps each region in runtime/pprof.Do with a
@@ -83,18 +85,19 @@ const (
 	CtrEqChecks
 	// CtrSimRounds counts 64-pattern random-simulation rounds in eqcheck.
 	CtrSimRounds
-	// CtrSATDecisions counts DPLL decisions.
+	// CtrSATDecisions counts SAT solver decisions.
 	CtrSATDecisions
-	// CtrSATPropagations counts DPLL unit propagations.
+	// CtrSATPropagations counts SAT solver unit propagations.
 	CtrSATPropagations
-	// CtrSATConflicts counts DPLL conflicts (the SAT budget's currency).
+	// CtrSATConflicts counts SAT solver conflicts (the SAT budget's
+	// currency).
 	CtrSATConflicts
 	// CtrSATRetries counts eqcheck retry-ladder escalations: SAT stages rerun
 	// with a doubled conflict budget after an Unknown verdict.
 	CtrSATRetries
 	// CtrPanicsRecovered counts group pipelines that panicked and were
 	// converted into GroupFailure records (see internal/guard). A failed
-	// group's own recorder is discarded, so this counter is the only
+	// group's observations are rolled back, so this counter is the only
 	// observation it contributes.
 	CtrPanicsRecovered
 	// CtrDegradedSubgroups counts subgroups degraded to the full-structural

@@ -84,21 +84,86 @@ func ApplyObserved(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value, re
 // returns shares that state. A Propagator is not safe for concurrent use.
 type Propagator struct {
 	red   Reduction
+	topo  topology
 	queue []netlist.NetID
 	inbuf []logic.Value
 }
 
-// NewPropagator returns a propagator over nl. Its dense state is sized on
-// the first apply.
+// topology is the flat copy of the netlist that propagation reads: each
+// gate's kind, output and input pins, and each net's driver and fanout. Pins
+// and fanouts are in CSR form, one flat array per relation with a start
+// offset per gate or net, so a visit loads from a few contiguous arrays
+// instead of chasing Gate and Net records and their separately allocated
+// slices. gates and nets each end with a sentinel entry whose offset closes
+// the last list.
+type topology struct {
+	gates  []flatGate // by GateID
+	pins   []netlist.NetID
+	nets   []flatNet // by NetID
+	fanout []netlist.GateID
+}
+
+// flatGate is one gate of a topology: its pins are
+// pins[gates[g].pin:gates[g+1].pin].
+type flatGate struct {
+	pin  int32
+	out  netlist.NetID
+	kind logic.Kind
+}
+
+// flatNet is one net of a topology: its fanout gates are
+// fanout[nets[n].fanout:nets[n+1].fanout].
+type flatNet struct {
+	fanout int32
+	driver netlist.GateID
+}
+
+// build copies nl's current gates and nets into t, each array allocated
+// once at its final size.
+func (t *topology) build(nl *netlist.Netlist) {
+	nPins, nFanout := 0, 0
+	for g := 0; g < nl.GateCount(); g++ {
+		nPins += len(nl.Gate(netlist.GateID(g)).Inputs)
+	}
+	for n := 0; n < nl.NetCount(); n++ {
+		nFanout += len(nl.Net(netlist.NetID(n)).Fanout)
+	}
+	t.gates = make([]flatGate, 0, nl.GateCount()+1)
+	t.pins = make([]netlist.NetID, 0, nPins)
+	for g := 0; g < nl.GateCount(); g++ {
+		gate := nl.Gate(netlist.GateID(g))
+		t.gates = append(t.gates, flatGate{pin: int32(len(t.pins)), out: gate.Output, kind: gate.Kind})
+		t.pins = append(t.pins, gate.Inputs...)
+	}
+	t.gates = append(t.gates, flatGate{pin: int32(len(t.pins))})
+	t.nets = make([]flatNet, 0, nl.NetCount()+1)
+	t.fanout = make([]netlist.GateID, 0, nFanout)
+	for n := 0; n < nl.NetCount(); n++ {
+		net := nl.Net(netlist.NetID(n))
+		t.nets = append(t.nets, flatNet{fanout: int32(len(t.fanout)), driver: net.Driver})
+		t.fanout = append(t.fanout, net.Fanout...)
+	}
+	t.nets = append(t.nets, flatNet{fanout: int32(len(t.fanout))})
+}
+
+// NewPropagator returns a propagator over nl, holding a flat copy of nl's
+// topology. Its dense state is sized on the first apply.
 func NewPropagator(nl *netlist.Netlist) *Propagator {
-	return &Propagator{red: Reduction{nl: nl}}
+	p := &Propagator{red: Reduction{nl: nl}}
+	p.topo.build(nl)
+	return p
 }
 
 // Apply is ApplyObserved on the propagator's reused state: the returned
-// Reduction is overwritten by the next call.
+// Reduction is overwritten by the next call. A netlist grown since the last
+// apply (gates or nets added) is copied afresh first.
 func (p *Propagator) Apply(assign map[netlist.NetID]logic.Value, rec *obs.Recorder) (*Reduction, error) {
 	r := &p.red
 	r.reset()
+	t := &p.topo
+	if len(t.gates) != r.nl.GateCount()+1 || len(t.nets) != r.nl.NetCount()+1 {
+		t.build(r.nl)
+	}
 	if n := r.nl.NetCount(); len(r.vals) < n {
 		r.vals = make([]logic.Value, n)
 	}
@@ -128,18 +193,17 @@ func (p *Propagator) Apply(assign map[netlist.NetID]logic.Value, rec *obs.Record
 
 		// Forward: every fanout gate may now have a determined output, and
 		// a newly known output may backward-imply sibling inputs.
-		net := r.nl.Net(n)
-		for _, g := range net.Fanout {
+		for _, g := range t.fanout[t.nets[n].fanout:t.nets[n+1].fanout] {
 			visits++
-			queue = r.visitGate(g, queue, &p.inbuf)
+			queue = p.visitGate(g, queue)
 			if r.conflict {
 				break
 			}
 		}
 		// Backward: the driver of n now has a known output.
-		if !r.conflict && net.Driver != netlist.NoGate {
+		if d := t.nets[n].driver; !r.conflict && d != netlist.NoGate {
 			visits++
-			queue = r.visitGate(net.Driver, queue, &p.inbuf)
+			queue = p.visitGate(d, queue)
 		}
 		if r.conflict {
 			break
@@ -191,53 +255,57 @@ func (r *Reduction) propagationError() error {
 
 // visitGate re-evaluates one gate against current knowledge, performing both
 // forward evaluation and backward implication, and enqueues any nets whose
-// values become known.
-func (r *Reduction) visitGate(g netlist.GateID, queue []netlist.NetID, inbuf *[]logic.Value) []netlist.NetID {
-	gate := r.nl.Gate(g)
-	if gate.Kind == logic.DFF {
+// values become known. It reads the gate from the flat topology and looks
+// at the netlist only to name a gate it reports.
+func (p *Propagator) visitGate(g netlist.GateID, queue []netlist.NetID) []netlist.NetID {
+	r, t := &p.red, &p.topo
+	gate := t.gates[g]
+	if gate.kind == logic.DFF {
 		return queue // constants do not cross sequential elements
 	}
-	in := (*inbuf)[:0]
-	for _, id := range gate.Inputs {
+	pins := t.pins[gate.pin:t.gates[g+1].pin]
+	in := p.inbuf[:0]
+	for _, id := range pins {
 		in = append(in, r.vals[id])
 	}
-	*inbuf = in
+	p.inbuf = in
 
 	// Forward. A leniently parsed netlist can contain a gate whose arity is
 	// invalid for its kind; surface it as an explicit error instead of
 	// letting logic.Eval panic. The early return also shields the backward
 	// implication below, which indexes pins by fixed arity.
-	out, evalErr := logic.TryEval(gate.Kind, in)
+	out, evalErr := logic.TryEval(gate.kind, in)
 	if evalErr != nil {
+		name := r.nl.Gate(g).Name
 		r.conflict = true
-		r.ConflictGate = gate.Name
-		r.malformed = fmt.Errorf("%w %q: %v", ErrMalformedGate, gate.Name, evalErr)
+		r.ConflictGate = name
+		r.malformed = fmt.Errorf("%w %q: %v", ErrMalformedGate, name, evalErr)
 		return queue
 	}
-	cur := r.vals[gate.Output]
+	cur := r.vals[gate.out]
 	if out.Known() {
 		if cur.Known() && cur != out {
 			r.conflict = true
-			r.ConflictGate = gate.Name
+			r.ConflictGate = r.nl.Gate(g).Name
 			return queue
 		}
 		if !cur.Known() {
-			r.set(gate.Output, out)
-			queue = append(queue, gate.Output)
+			r.set(gate.out, out)
+			queue = append(queue, gate.out)
 			cur = out
 		}
 	}
 
 	// Backward.
 	if cur.Known() {
-		newly, bad := logic.ImplyInputs(gate.Kind, cur, in)
+		newly, bad := logic.ImplyInputs(gate.kind, cur, in)
 		if bad {
 			r.conflict = true
-			r.ConflictGate = gate.Name
+			r.ConflictGate = r.nl.Gate(g).Name
 			return queue
 		}
 		if newly > 0 {
-			for i, id := range gate.Inputs {
+			for i, id := range pins {
 				if in[i].Known() && !r.vals[id].Known() {
 					r.set(id, in[i])
 					queue = append(queue, id)
