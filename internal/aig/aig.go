@@ -15,7 +15,10 @@
 // passes.
 package aig
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Lit is a literal: an AIG node index with a negation bit in the LSB.
 type Lit uint32
@@ -212,67 +215,59 @@ func (g *AIG) XorN(ins []Lit) Lit {
 	return out
 }
 
-// Support returns the input indices the cone of l depends on, ascending.
+// Support returns the input indices the cone of l depends on, ascending
+// (input indices grow with node indices).
 func (g *AIG) Support(l Lit) []int {
-	seen := make([]bool, len(g.nodes))
-	var out []int
-	var walk func(n int)
-	walk = func(n int) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		if f0, f1, ok := g.IsAnd(n); ok {
-			walk(f0.Node())
-			walk(f1.Node())
-			return
-		}
+	cone := g.ConeNodes(l)
+	out := cone[:0]
+	for _, n := range cone {
 		if i := g.inputIndex(n); i >= 0 {
 			out = append(out, i)
 		}
 	}
-	walk(l.Node())
-	sortInts(out)
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // ConeNodes returns the node indices in the transitive fanin cone of each
 // root (inputs and constant included), in ascending index order.
-func (g *AIG) ConeNodes(roots ...Lit) []int {
-	seen := make([]bool, len(g.nodes))
-	var stack []int
+func (g *AIG) ConeNodes(roots ...Lit) []int { return g.ConeNodesUntil(nil, roots...) }
+
+// ConeNodesUntil is ConeNodes with the walk cut at every node for which stop
+// (when non-nil) reports true: such a node is left out, and so is anything
+// reachable only through cut nodes. The walk touches only the nodes it
+// returns and their fanins; the visited set is one bit per node up to the
+// highest root, read back in index order.
+func (g *AIG) ConeNodesUntil(stop func(n int) bool, roots ...Lit) []int {
+	top := 0
 	for _, r := range roots {
-		if !seen[r.Node()] {
-			seen[r.Node()] = true
-			stack = append(stack, r.Node())
+		top = max(top, r.Node())
+	}
+	seen := make([]uint64, top>>6+1)
+	var stack []int
+	count := 0
+	mark := func(n int) {
+		if seen[n>>6]&(1<<(n&63)) != 0 || (stop != nil && stop(n)) {
+			return
 		}
+		seen[n>>6] |= 1 << (n & 63)
+		stack = append(stack, n)
+		count++
+	}
+	for _, r := range roots {
+		mark(r.Node())
 	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if f0, f1, ok := g.IsAnd(n); ok {
-			if !seen[f0.Node()] {
-				seen[f0.Node()] = true
-				stack = append(stack, f0.Node())
-			}
-			if !seen[f1.Node()] {
-				seen[f1.Node()] = true
-				stack = append(stack, f1.Node())
-			}
+			mark(f0.Node())
+			mark(f1.Node())
 		}
 	}
-	var out []int
-	for n, s := range seen {
-		if s {
-			out = append(out, n)
+	out := make([]int, 0, count)
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
 		}
 	}
 	return out
@@ -311,14 +306,27 @@ func litWord(vals []uint64, l Lit) uint64 {
 func Word(vals []uint64, l Lit) uint64 { return litWord(vals, l) }
 
 // EvalBool evaluates literal l under a single assignment of the inputs
-// (indexed by input index; missing entries read false).
+// (indexed by input index; missing entries read false). Only the cone of l
+// is evaluated, one bit per node, in ascending (topological) order.
 func (g *AIG) EvalBool(assign []bool, l Lit) bool {
-	words := make([]uint64, g.NumInputs())
-	for i := range words {
-		if i < len(assign) && assign[i] {
-			words[i] = ^uint64(0)
+	val := make([]uint64, l.Node()>>6+1)
+	bit := func(l Lit) bool {
+		n := l.Node()
+		return val[n>>6]>>(n&63)&1 == 1 != l.Negated()
+	}
+	for _, n := range g.ConeNodes(l) {
+		nd := g.nodes[n]
+		var v bool
+		switch {
+		case nd.fan0 != noFanin:
+			v = bit(nd.fan0) && bit(nd.fan1)
+		case nd.fan1 != noFanin:
+			i := int(nd.fan1)
+			v = i < len(assign) && assign[i]
+		}
+		if v {
+			val[n>>6] |= 1 << (n & 63)
 		}
 	}
-	vals := g.Sim64(words, nil)
-	return Word(vals, l)&1 == 1
+	return bit(l)
 }

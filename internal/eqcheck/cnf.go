@@ -44,27 +44,24 @@ func (e *encoder) lit(l aig.Lit) intLit {
 // ensure encodes the fanin cones of the given literals, skipping every node
 // already encoded. A node's presence in varOf implies its whole fanin cone
 // is present (nodes are only ever introduced by a cone walk that includes
-// their ancestors), so re-proving a cone already seen is free. It reports
-// whether any new node was encoded.
+// their ancestors), so the walk stops at encoded nodes and touches only the
+// unencoded part of the cones: re-proving a cone already seen is free. The
+// fresh nodes are numbered in ascending node order, fanins first, which
+// fixes the CNF variable numbers and so the search. It reports whether any
+// new node was encoded.
 func (e *encoder) ensure(roots ...aig.Lit) bool {
-	missing := roots[:0:0]
-	for _, r := range roots {
-		if _, ok := e.varOf[r.Node()]; !ok {
-			missing = append(missing, r)
-		}
-	}
-	if len(missing) == 0 {
+	fresh := e.g.ConeNodesUntil(func(n int) bool {
+		_, ok := e.varOf[n]
+		return ok
+	}, roots...)
+	if len(fresh) == 0 {
 		return false
 	}
-	cone := e.g.ConeNodes(missing...)
-	fresh := make([]int, 0, len(cone))
-	for _, n := range cone {
-		if _, ok := e.varOf[n]; !ok {
-			e.varOf[n] = e.s.newVar()
-			fresh = append(fresh, n)
-		}
+	if len(e.varOf) == 0 {
+		e.varOf = make(map[int]int, len(fresh))
 	}
 	for _, n := range fresh {
+		e.varOf[n] = e.s.newVar()
 		if f0, f1, ok := e.g.IsAnd(n); ok {
 			v := posLit(e.varOf[n])
 			a, b := e.lit(f0), e.lit(f1)
@@ -75,7 +72,7 @@ func (e *encoder) ensure(roots ...aig.Lit) bool {
 			e.s.addClause(negLit(e.varOf[n]))
 		}
 	}
-	return len(fresh) > 0
+	return true
 }
 
 // tseitinAll encodes the union of the goals' fanin cones into a fresh DPLL

@@ -7,7 +7,9 @@
 //     proved them equal during construction;
 //  2. 64-bit-parallel random simulation — each round evaluates 64 input
 //     patterns at once; any mismatching lane is extracted as a concrete
-//     counterexample assignment;
+//     counterexample assignment. CheckNetlists simulates the miters of all
+//     its outputs in one batch, once per check: every miter sees the
+//     patterns and the first failing lane it would see alone;
 //  3. Tseitin CNF + an incremental CDCL SAT solver (clause learning, VSIDS
 //     branching, Luby restarts; see cdcl.go) — UNSAT of the miter proves
 //     equivalence, SAT yields a counterexample, and an inclusive conflict
@@ -23,6 +25,11 @@
 // (reduce.VerifyCones) and re-proving one cone under many control
 // assignments cheap. The package-level functions run the same pipeline on a
 // transient solver. Options.NoLearn selects the legacy DPLL engine instead.
+//
+// Per-query work is bounded by the query's cone, not by the shared AIG: the
+// encoder walks only the unencoded part of a cone, and counterexample
+// supports and the replay of every SAT model (which evaluates the goal's
+// cone under the model) touch the cone alone.
 package eqcheck
 
 import (
@@ -211,8 +218,8 @@ type Stats struct {
 	// AssumptionSolves counts incremental assumption solves issued to the
 	// warm CDCL engine for this query (one per retry-ladder attempt).
 	AssumptionSolves int `json:"assumption_solves"`
-	// ModelsRejected counts SAT models that failed re-simulation against
-	// the AIG. Every rejection is a solver bug surfaced as an explicit
+	// ModelsRejected counts SAT models that failed replay against the
+	// AIG. Every rejection is a solver bug surfaced as an explicit
 	// Unknown instead of a bogus counterexample — on a healthy build this
 	// is always 0, and the sat_models_rejected obs counter makes a non-zero
 	// value visible in /metrics and -statsjson.
@@ -357,36 +364,55 @@ func (s *Solver) solveUnder(l aig.Lit, assumps []aig.Lit) SolveResult {
 		return SolveResult{Status: Sat, Model: map[string]bool{}, Stage: "strash"}
 	}
 
-	var st Stats
+	// Stage 2: 64-bit-parallel random simulation, as a batch of one.
+	q := []simQuery{{goals: goals}}
+	s.simulate(q, s.opt.seed(), s.opt.simRounds())
+	return s.finish(q[0])
+}
 
-	// Stage 2: 64-bit-parallel random simulation.
-	if rounds := s.opt.simRounds(); rounds > 0 {
-		if res, hit := s.simulate(goals, s.opt.seed(), rounds, &st); hit {
-			return res
-		}
+// finish decides a query the simulation stage has seen: a hit refutes it
+// at stage "sim"; otherwise the SAT stage runs, through the escalating-retry
+// ladder (see Options).
+func (s *Solver) finish(q simQuery) SolveResult {
+	st := Stats{SimRounds: q.rounds}
+	if q.model != nil {
+		return SolveResult{Status: Sat, Model: q.model, Stage: "sim", Stats: st}
 	}
-
 	if !s.opt.satEnabled() {
 		return SolveResult{Status: SolveUnknown, Stage: "sim", Stats: st}
 	}
-
-	// Stage 3: SAT, through the escalating-retry ladder (see Options).
 	if s.opt.NoLearn {
-		return s.solveDPLL(goals, st)
+		return s.solveDPLL(q.goals, st)
 	}
-	return s.solveCDCL(goals, st)
+	return s.solveCDCL(q.goals, st)
 }
 
-// simulate runs rounds of 64-lane random simulation looking for a lane where
-// every goal literal is true, extracting that lane as a model on a hit.
-func (s *Solver) simulate(goals []aig.Lit, seed uint64, rounds int, st *Stats) (SolveResult, bool) {
+// simQuery is one query of a simulation batch.
+type simQuery struct {
+	goals  []aig.Lit // literals that must all be true in one lane
+	rounds int       // rounds the query took part in
+	// model assigns the goals' support from the query's first hit (lowest
+	// round, then lowest lane); nil without a hit.
+	model map[string]bool
+}
+
+// simulate runs up to rounds of 64-lane random simulation for a batch of
+// queries, looking for a lane where every goal literal of a query is true.
+// Every query sees the same patterns, so a batch gives each one exactly the
+// rounds, hit and model it would get alone; a query drops out at its first
+// hit, and the batch stops once every query has one.
+func (s *Solver) simulate(batch []simQuery, seed uint64, rounds int) {
+	open := len(batch)
+	if open == 0 || rounds <= 0 {
+		return
+	}
 	rng := splitmix64{s: seed}
 	n := s.g.NumInputs()
 	if cap(s.words) < n {
 		s.words = make([]uint64, n)
 	}
 	words := s.words[:n]
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < rounds && open > 0; r++ {
 		for i := range words {
 			words[i] = rng.next()
 		}
@@ -399,22 +425,22 @@ func (s *Solver) simulate(goals []aig.Lit, seed uint64, rounds int, st *Stats) (
 			}
 		}
 		s.vals = s.g.Sim64(words, s.vals)
-		st.SimRounds++
-		w := ^uint64(0)
-		for _, gl := range goals {
-			w &= aig.Word(s.vals, gl)
-		}
-		if w != 0 {
-			lane := uint(bits.TrailingZeros64(w))
-			return SolveResult{
-				Status: Sat,
-				Model:  modelFromWords(s.g, goals, words, lane),
-				Stage:  "sim",
-				Stats:  *st,
-			}, true
+		for i := range batch {
+			q := &batch[i]
+			if q.model != nil {
+				continue
+			}
+			q.rounds++
+			w := ^uint64(0)
+			for _, gl := range q.goals {
+				w &= aig.Word(s.vals, gl)
+			}
+			if w != 0 {
+				q.model = modelFromWords(s.g, q.goals, words, uint(bits.TrailingZeros64(w)))
+				open--
+			}
 		}
 	}
-	return SolveResult{}, false
 }
 
 // solveCDCL runs the SAT ladder on the warm incremental engine: the goal
@@ -465,7 +491,7 @@ func (s *Solver) solveCDCL(goals []aig.Lit, st Stats) SolveResult {
 		}
 		model, ok := s.modelFromCDCL(goals)
 		if !ok {
-			// The solver's model failed re-simulation: a solver bug.
+			// The solver's model failed replay: a solver bug.
 			// Degrade to Unknown rather than report a bogus counterexample,
 			// and surface the event in Stats and the obs schema.
 			st.ModelsRejected++
@@ -494,12 +520,14 @@ func (s *Solver) nextBudget(budget, attempt int) (int, bool) {
 // fixed by attempt counts, never wall time, so results are byte-identical
 // across machines and worker counts.
 func (s *Solver) portfolioSim(goals []aig.Lit, attempt int, st *Stats) (SolveResult, bool) {
-	rounds := s.opt.simRounds()
-	if rounds == 0 {
+	chunkSeed := s.opt.seed() + uint64(attempt+1)*0xa0761d6478bd642f
+	q := []simQuery{{goals: goals}}
+	s.simulate(q, chunkSeed, s.opt.simRounds())
+	st.SimRounds += q[0].rounds
+	if q[0].model == nil {
 		return SolveResult{}, false
 	}
-	chunkSeed := s.opt.seed() + uint64(attempt+1)*0xa0761d6478bd642f
-	return s.simulate(goals, chunkSeed, rounds, st)
+	return SolveResult{Status: Sat, Model: q[0].model, Stage: "sim", Stats: *st}, true
 }
 
 // solveDPLL runs the SAT ladder on the legacy engine: the goal cones are
@@ -558,7 +586,7 @@ func modelFromWords(g *aig.AIG, goals []aig.Lit, words []uint64, lane uint) map[
 }
 
 // modelFromCDCL reads the input assignment out of the CDCL model and
-// verifies every goal against the AIG by simulation.
+// verifies every goal against the AIG by evaluating the goal's cone.
 func (s *Solver) modelFromCDCL(goals []aig.Lit) (map[string]bool, bool) {
 	model := make(map[string]bool)
 	assign := make([]bool, s.g.NumInputs())
@@ -624,7 +652,12 @@ func (s *Solver) CheckLitsUnder(a, b aig.Lit, assumps []aig.Lit) Result {
 		// The XOR folded away: equal by construction.
 		return Result{Verdict: Equivalent, Stage: "strash"}
 	}
-	sr := s.SolveUnder(m, assumps)
+	return s.verdict(a, b, s.SolveUnder(m, assumps))
+}
+
+// verdict maps the solve result of the miter of a and b to an equivalence
+// verdict.
+func (s *Solver) verdict(a, b aig.Lit, sr SolveResult) Result {
 	switch sr.Status {
 	case Unsat:
 		return Result{Verdict: Equivalent, Stage: sr.Stage, Stats: sr.Stats}
@@ -718,21 +751,57 @@ func CheckNetlists(na, nb *netlist.Netlist, pin map[string]logic.Value, opt Opti
 	}
 	solver := NewSolver(g, opt)
 	res := &NetlistResult{}
+	// Build every miter first, in output order: node numbers fix CNF
+	// variable numbers, so the AIG grows exactly as it would if each
+	// output were checked before the next miter was built.
+	type check struct {
+		name    string
+		a, b, m aig.Lit
+		sim     int // index in batch; -1 for a miter strash already decides
+	}
+	var checks []check
+	var batch []simQuery
 	for _, name := range fa.OutputNames {
 		lb, ok := fb.Outputs[name]
 		if !ok {
 			res.OnlyInA = append(res.OnlyInA, name)
 			continue
 		}
+		c := check{name: name, a: fa.Outputs[name], b: lb, m: aig.False, sim: -1}
+		if c.a != c.b {
+			c.m = g.Xor(c.a, c.b)
+		}
+		if c.m != aig.False && c.m != aig.True {
+			c.sim = len(batch)
+			batch = append(batch, simQuery{goals: []aig.Lit{c.m}})
+		}
+		checks = append(checks, c)
+	}
+	// One simulation stage for every miter, then the survivors go to the
+	// warm SAT engine in output order.
+	solver.simulate(batch, opt.seed(), opt.simRounds())
+	for _, c := range checks {
 		// Deadline-bounded runs keep the output list complete and in order:
 		// outputs past the cancellation point are Unknown/"cancelled", so a
 		// partial result is a strict prefix of the full one.
 		if opt.cancelled() {
-			res.Outputs = append(res.Outputs, OutputCheck{Name: name, Result: CancelledResult()})
+			res.Outputs = append(res.Outputs, OutputCheck{Name: c.name, Result: CancelledResult()})
 			continue
 		}
-		r := solver.CheckLits(fa.Outputs[name], lb)
-		res.Outputs = append(res.Outputs, OutputCheck{Name: name, Result: r})
+		var r Result
+		switch {
+		case c.m == aig.False:
+			r = Result{Verdict: Equivalent, Stage: "strash"}
+		case c.sim < 0:
+			// The constant-true miter of a against !a: the strash stage
+			// refutes it with an empty model, never the simulation.
+			r = solver.verdict(c.a, c.b, solver.SolveUnder(c.m, nil))
+		default:
+			sr := solver.finish(batch[c.sim])
+			reportSolve(opt.Observer, sr.Stats)
+			r = solver.verdict(c.a, c.b, sr)
+		}
+		res.Outputs = append(res.Outputs, OutputCheck{Name: c.name, Result: r})
 	}
 	for _, name := range fb.OutputNames {
 		if _, ok := fa.Outputs[name]; !ok {

@@ -3,6 +3,7 @@ package eqcheck_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gatewords/internal/aig"
@@ -504,6 +505,88 @@ func TestCheckNetlistsCancelled(t *testing.T) {
 	for _, out := range res.Outputs {
 		if out.Verdict != eqcheck.Unknown || out.Stage != "cancelled" {
 			t.Errorf("output %s: verdict %v stage %q, want Unknown/cancelled", out.Name, out.Verdict, out.Stage)
+		}
+	}
+}
+
+// countdownCtx is a context whose Err reports cancellation from call
+// remaining+1 on. Options.Context is polled only through Err, so sweeping
+// remaining cancels a run at each of its polls in turn, which a timer
+// cannot do deterministically.
+type countdownCtx struct {
+	context.Context
+	remaining int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.remaining--; c.remaining < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCheckNetlistsCancelledMidRun sweeps the cancellation point across a
+// whole CheckNetlists run, per-output polls and retry-ladder polls alike,
+// on a pair whose outputs are decided by strash, simulation and SAT.
+// Wherever the context dies, the output list stays complete and in order,
+// the decided outputs equal the uncancelled run's prefix exactly, and the
+// rest are Unknown/"cancelled".
+func TestCheckNetlistsCancelledMidRun(t *testing.T) {
+	pair := goldenPairs(t, "b08a")[1]
+	if pair.name != "b08a/nand2-to-and2" {
+		t.Fatalf("pair %s, want the NAND2-swapped one", pair.name)
+	}
+	for _, opt := range []eqcheck.Options{{}, {MaxConflicts: 3, RetryUnknown: 2}} {
+		clean, err := eqcheck.CheckNetlists(pair.na, pair.nb, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages := make(map[string]bool)
+		for _, oc := range clean.Outputs {
+			stages[oc.Stage] = true
+		}
+		if !stages["strash"] || !stages["sim"] || !stages["sat"] {
+			t.Fatalf("%+v: stages %v, want strash, sim and sat", opt, stages)
+		}
+		counter := &countdownCtx{Context: context.Background(), remaining: 1 << 30}
+		opt.Context = counter
+		if _, err := eqcheck.CheckNetlists(pair.na, pair.nb, nil, opt); err != nil {
+			t.Fatal(err)
+		}
+		polls := 1<<30 - counter.remaining
+		partial := false
+		for n := 0; n <= polls+1; n++ {
+			opt.Context = &countdownCtx{Context: context.Background(), remaining: n}
+			res, err := eqcheck.CheckNetlists(pair.na, pair.nb, nil, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Outputs) != len(clean.Outputs) {
+				t.Fatalf("n=%d: %d outputs, want %d", n, len(res.Outputs), len(clean.Outputs))
+			}
+			cut := len(res.Outputs)
+			for i, oc := range res.Outputs {
+				if oc.Stage == "cancelled" {
+					cut = i
+					break
+				}
+			}
+			if !reflect.DeepEqual(res.Outputs[:cut], clean.Outputs[:cut]) {
+				t.Fatalf("n=%d: the %d decided outputs differ from the uncancelled run's prefix", n, cut)
+			}
+			for i, oc := range res.Outputs[cut:] {
+				if oc.Name != clean.Outputs[cut+i].Name || oc.Verdict != eqcheck.Unknown || oc.Stage != "cancelled" {
+					t.Fatalf("n=%d: output %d is %s %v/%s, want %s Unknown/cancelled",
+						n, cut+i, oc.Name, oc.Verdict, oc.Stage, clean.Outputs[cut+i].Name)
+				}
+			}
+			if n >= polls && cut != len(clean.Outputs) {
+				t.Fatalf("n=%d: a countdown that outlives the run's %d polls cancelled it", n, polls)
+			}
+			partial = partial || (cut > 0 && cut < len(clean.Outputs))
+		}
+		if !partial {
+			t.Errorf("%+v: the sweep over %d polls never gave a proper partial result", opt, polls)
 		}
 	}
 }

@@ -2,11 +2,14 @@ package eqcheck_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"gatewords/internal/aig"
 	"gatewords/internal/eqcheck"
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
+	"gatewords/internal/obs"
 )
 
 // byteSource deals bytes from the fuzz input, repeating 0 when exhausted.
@@ -109,12 +112,39 @@ func mutate(nl *netlist.Netlist, src *byteSource) bool {
 	return false
 }
 
+// perOutputChecks is the per-output path CheckNetlists batches: both frames
+// lowered into one fresh AIG, one solver, and CheckLits on each shared
+// observable in A's order, building each miter just before its query.
+func perOutputChecks(t *testing.T, na, nb *netlist.Netlist, opt eqcheck.Options) []eqcheck.OutputCheck {
+	t.Helper()
+	eff := map[string]logic.Value{"$const0": logic.Zero, "$const1": logic.One}
+	g := aig.New()
+	fa, err := aig.AddFrame(g, na, eff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := aig.AddFrame(g, nb, eff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := eqcheck.NewSolver(g, opt)
+	var out []eqcheck.OutputCheck
+	for _, name := range fa.OutputNames {
+		if lb, ok := fb.Outputs[name]; ok {
+			out = append(out, eqcheck.OutputCheck{Name: name, Result: s.CheckLits(fa.Outputs[name], lb)})
+		}
+	}
+	return out
+}
+
 // FuzzEqcheck feeds random netlist pairs (a generated netlist against a
 // possibly-mutated clone) through CheckNetlists and checks the checker's own
-// contract: no panics, verdicts stable across a repeated run, an unmutated
-// clone always proved equivalent, every refutation's counterexample
-// replayable on the reference simulator, and the default CDCL engine agreeing
-// with the independent legacy DPLL engine on every decided verdict.
+// contract: no panics, verdicts stable across a repeated run, output for
+// output the same results and obs counters as the per-output path, an
+// unmutated clone always proved equivalent, every refutation's
+// counterexample replayable on the reference simulator, and the default
+// CDCL engine agreeing with the independent legacy DPLL engine on every
+// decided verdict.
 func FuzzEqcheck(f *testing.F) {
 	f.Add([]byte{3, 7, 1, 4, 1, 5, 9, 2, 6})
 	f.Add([]byte{0})
@@ -125,9 +155,21 @@ func FuzzEqcheck(f *testing.F) {
 		nb := na.Clone()
 		mutated := src.pick(2) == 1 && mutate(nb, src)
 		opt := eqcheck.Options{SimRounds: 4, MaxConflicts: 2000}
-		res1, err := eqcheck.CheckNetlists(na, nb, nil, opt)
+		batchObs, refObs := obs.New(), obs.New()
+		optObs := opt
+		optObs.Observer = batchObs
+		res1, err := eqcheck.CheckNetlists(na, nb, nil, optObs)
 		if err != nil {
 			t.Fatalf("CheckNetlists: %v", err)
+		}
+		optObs.Observer = refObs
+		if ref := perOutputChecks(t, na, nb, optObs); !reflect.DeepEqual(res1.Outputs, ref) {
+			t.Fatalf("CheckNetlists differs from the per-output path:\nbatch:      %+v\nper-output: %+v", res1.Outputs, ref)
+		}
+		for c := obs.Counter(0); c < obs.NumCounters; c++ {
+			if b, r := batchObs.Count(c), refObs.Count(c); b != r {
+				t.Fatalf("counter %s: CheckNetlists %d, per-output path %d", c, b, r)
+			}
 		}
 		res2, err := eqcheck.CheckNetlists(na, nb, nil, opt)
 		if err != nil {
