@@ -3,18 +3,23 @@
 // name and flip-flop next-state functions by instance name (reported as
 // "ff:<name>"), over a shared input space of primary inputs and flip-flop
 // states. Each pair runs through the staged prover: structural hashing in a
-// shared AIG, 64-lane random simulation (which yields a concrete
-// counterexample on refutation), then a SAT proof by an incremental CDCL
-// solver shared across all outputs (-no-learn falls back to the legacy DPLL
-// engine; -restarts tunes the CDCL Luby restart interval).
+// shared AIG, 64-lane random simulation of every pair at once (which yields
+// a concrete counterexample on refutation), then a SAT proof by an
+// incremental CDCL solver shared across all outputs.
 //
 // Usage:
 //
-//	gateeq [-json] [-pin name=0,name=1] [-sat-budget N] [-no-learn] a.v b.v
+//	gateeq [-json] [-pin name=0,name=1] [-sim N] [-sat-budget N] [-restarts N] [-no-learn] [-q] a.v b.v
 //
 // One of the two files may be "-" for stdin. -pin forces nets to constants
 // in both designs before comparison (the Reduce tie-offs "$const0" and
-// "$const1" are always pinned). The exit code is the aggregate verdict:
+// "$const1" are always pinned). -sim sets the number of 64-pattern
+// simulation rounds (negative skips simulation), -sat-budget the conflict
+// cap of each SAT query (negative skips SAT, leaving undecided outputs
+// unknown), -restarts the CDCL Luby restart interval (negative disables
+// restarts); 0 keeps each default. -no-learn falls back to the legacy DPLL
+// engine, -json prints the per-output verdicts as JSON, and -q drops the
+// summary line on stderr. The exit code is the aggregate verdict:
 // 0 equivalent, 1 not equivalent, 2 unknown (budget exhausted), 3 usage or
 // input error.
 package main
@@ -46,7 +51,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	noLearn := fs.Bool("no-learn", false, "use the legacy non-learning DPLL engine instead of incremental CDCL")
 	quiet := fs.Bool("q", false, "suppress the summary line on stderr")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: gateeq [-json] [-pin name=0,name=1] [-sat-budget N] a.v b.v")
+		fmt.Fprintln(stderr, "usage: gateeq [-json] [-pin name=0,name=1] [-sim N] [-sat-budget N] [-restarts N] [-no-learn] [-q] a.v b.v")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
