@@ -28,8 +28,10 @@ type encoder struct {
 	varOf map[int]int // AIG node -> CNF variable
 }
 
+// newEncoder returns an encoder into s; varOf is made by the first ensure,
+// sized to the first cone.
 func newEncoder(g *aig.AIG, s *cdcl) *encoder {
-	return &encoder{g: g, s: s, varOf: make(map[int]int)}
+	return &encoder{g: g, s: s}
 }
 
 // lit maps an AIG literal over an encoded node to its CNF literal.
@@ -57,7 +59,7 @@ func (e *encoder) ensure(roots ...aig.Lit) bool {
 	if len(fresh) == 0 {
 		return false
 	}
-	if len(e.varOf) == 0 {
+	if e.varOf == nil {
 		e.varOf = make(map[int]int, len(fresh))
 	}
 	for _, n := range fresh {

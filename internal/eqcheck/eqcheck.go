@@ -731,8 +731,9 @@ func (r *NetlistResult) Verdict() Verdict {
 // flip-flop outputs). pin forces named nets to constants on both sides before
 // lowering — the cofactor under a control assignment. The tie-off inputs
 // created by reduce.Materialize ("$const0", "$const1") are always pinned to
-// their values. All outputs share one warm solver, so structure common to
-// several output cones is encoded and learned from once.
+// their values. All outputs share one simulation stage and one warm solver,
+// so structure common to several output cones is simulated, encoded and
+// learned from once.
 func CheckNetlists(na, nb *netlist.Netlist, pin map[string]logic.Value, opt Options) (*NetlistResult, error) {
 	eff := make(map[string]logic.Value, len(pin)+2)
 	eff["$const0"] = logic.Zero
