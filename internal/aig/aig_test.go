@@ -1,6 +1,9 @@
 package aig
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gatewords/internal/logic"
@@ -246,4 +249,152 @@ func mustNet(t *testing.T, nl *netlist.Netlist, name string) netlist.NetID {
 		t.Fatalf("no net %q", name)
 	}
 	return id
+}
+
+// The reference cone helpers are the original whole-graph implementations:
+// a bool per node with a full scan, a recursive support walk sorted
+// afterwards, and evaluation by simulating every node. They share no code
+// with the cone-bounded helpers they check.
+
+func refConeNodes(g *AIG, stop func(int) bool, roots ...Lit) []int {
+	seen := make([]bool, len(g.nodes))
+	var stack []int
+	push := func(n int) {
+		if !seen[n] && (stop == nil || !stop(n)) {
+			seen[n] = true
+			stack = append(stack, n)
+		}
+	}
+	for _, r := range roots {
+		push(r.Node())
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if nd := g.nodes[n]; nd.fan0 != noFanin {
+			push(nd.fan0.Node())
+			push(nd.fan1.Node())
+		}
+	}
+	var out []int
+	for n, s := range seen {
+		if s {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+func refSupport(g *AIG, l Lit) []int {
+	seen := make([]bool, len(g.nodes))
+	var out []int
+	var walk func(n int)
+	walk = func(n int) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		nd := g.nodes[n]
+		if nd.fan0 != noFanin {
+			walk(nd.fan0.Node())
+			walk(nd.fan1.Node())
+			return
+		}
+		if nd.fan1 != noFanin {
+			out = append(out, int(nd.fan1))
+		}
+	}
+	walk(l.Node())
+	slices.Sort(out)
+	return out
+}
+
+func refEvalBool(g *AIG, assign []bool, l Lit) bool {
+	words := make([]uint64, g.NumInputs())
+	for i := range words {
+		if i < len(assign) && assign[i] {
+			words[i] = ^uint64(0)
+		}
+	}
+	return Word(g.Sim64(words, nil), l)&1 == 1
+}
+
+// TestConeHelpersMatchReference checks ConeNodes, ConeNodesUntil, Support
+// and EvalBool against the references on random AIGs of a few hundred nodes
+// (so the bitsets span several words): single and multiple roots, negated
+// and constant roots, inputs created after ANDs, walks cut at a closed set
+// (the cone of earlier roots, as the CNF encoder cuts at encoded nodes) and
+// at an arbitrary one, short assignment slices, and calls repeated after the
+// graph has grown.
+func TestConeHelpersMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 60; trial++ {
+		g := New()
+		var lits []Lit
+		for i := 0; i < 2+rng.Intn(10); i++ {
+			lits = append(lits, g.Input(fmt.Sprintf("i%d", i)))
+		}
+		pick := func() Lit { return lits[rng.Intn(len(lits))] ^ Lit(rng.Intn(2)) }
+		var early []Lit // roots checked again after the graph grows
+		for phase := 0; phase < 3; phase++ {
+			for j := 0; j < 100+rng.Intn(300); j++ {
+				if rng.Intn(12) == 0 {
+					lits = append(lits, g.Input(fmt.Sprintf("p%d_%d", phase, j)))
+					continue
+				}
+				if l := g.And(pick(), pick()); l != False && l != True {
+					lits = append(lits, l)
+				}
+			}
+			roots := append([]Lit{False, True}, early...)
+			for k := 0; k < 12; k++ {
+				roots = append(roots, pick())
+			}
+			for _, r := range roots {
+				checkCone(t, g, []Lit{r})
+				if got, want := g.Support(r), refSupport(g, r); !slices.Equal(got, want) {
+					t.Fatalf("trial %d: Support(%v) = %v, want %v", trial, r, got, want)
+				}
+				for a := 0; a < 4; a++ {
+					assign := make([]bool, rng.Intn(g.NumInputs()+1))
+					for i := range assign {
+						assign[i] = rng.Intn(2) == 1
+					}
+					if got, want := g.EvalBool(assign, r), refEvalBool(g, assign, r); got != want {
+						t.Fatalf("trial %d: EvalBool(%v, %v) = %v, want %v", trial, assign, r, got, want)
+					}
+				}
+			}
+			closed := make(map[int]bool)
+			for _, n := range refConeNodes(g, nil, early...) {
+				closed[n] = true
+			}
+			arbitrary := make(map[int]bool)
+			for n := 0; n < g.NumNodes(); n++ {
+				arbitrary[n] = rng.Intn(5) == 0
+			}
+			for k := 0; k < 6; k++ {
+				set := make([]Lit, 1+rng.Intn(4))
+				for i := range set {
+					set[i] = pick()
+				}
+				checkCone(t, g, set)
+				for _, cut := range []map[int]bool{closed, arbitrary} {
+					stop := func(n int) bool { return cut[n] }
+					if got, want := g.ConeNodesUntil(stop, set...), refConeNodes(g, stop, set...); !slices.Equal(got, want) {
+						t.Fatalf("trial %d: ConeNodesUntil(%v) = %v, want %v", trial, set, got, want)
+					}
+				}
+			}
+			checkCone(t, g, nil)
+			early = append(early, pick(), pick())
+		}
+	}
+}
+
+func checkCone(t *testing.T, g *AIG, roots []Lit) {
+	t.Helper()
+	if got, want := g.ConeNodes(roots...), refConeNodes(g, nil, roots...); !slices.Equal(got, want) {
+		t.Fatalf("ConeNodes(%v) = %v, want %v", roots, got, want)
+	}
 }
