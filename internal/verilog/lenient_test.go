@@ -7,10 +7,11 @@ import (
 	"gatewords/internal/netlist"
 )
 
-// TestParseLenientMultiDriver: strict Parse rejects a doubly-driven net at
-// the second driver; ParseLenient keeps both gates and records the conflict.
-func TestParseLenientMultiDriver(t *testing.T) {
-	src := `
+// The ParseLenient fixtures of this file. TestParseGoldens pins what each
+// one parses to.
+const (
+	// lenientMultiDriverSrc drives y from two gates.
+	lenientMultiDriverSrc = `
 module m (a, b, y);
   input a, b;
   output y;
@@ -18,10 +19,44 @@ module m (a, b, y);
   not g2 (y, b);
 endmodule
 `
-	if _, err := Parse("t.v", src); err == nil || !strings.Contains(err.Error(), "already driven") {
+	// lenientBadAritySrc has a NAND with one input.
+	lenientBadAritySrc = `
+module m (a, y);
+  input a;
+  output y;
+  nand g1 (y, a);
+endmodule
+`
+	// lenientUndrivenSrc reads a wire nothing drives.
+	lenientUndrivenSrc = `
+module m (a, y);
+  input a;
+  output y;
+  wire phantom;
+  and g1 (y, a, phantom);
+endmodule
+`
+	// lenientCleanSrc is well formed.
+	lenientCleanSrc = `
+module m (a, b, q);
+  input a, b;
+  output q;
+  wire w;
+  nand g1 (w, a, b);
+  DFF r (.D(w), .Q(q), .CK(a));
+endmodule
+`
+	// lenientSyntaxSrc is not valid syntax.
+	lenientSyntaxSrc = "module m (a; endmodule"
+)
+
+// TestParseLenientMultiDriver: strict Parse rejects a doubly-driven net at
+// the second driver; ParseLenient keeps both gates and records the conflict.
+func TestParseLenientMultiDriver(t *testing.T) {
+	if _, err := Parse("t.v", lenientMultiDriverSrc); err == nil || !strings.Contains(err.Error(), "already driven") {
 		t.Errorf("strict parse accepted multi-driver: %v", err)
 	}
-	nl, err := ParseLenient("t.v", src)
+	nl, err := ParseLenient("t.v", lenientMultiDriverSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,17 +86,10 @@ endmodule
 // TestParseLenientBadArity: a NAND with one input parses leniently and
 // surfaces as an arity violation rather than a parse error.
 func TestParseLenientBadArity(t *testing.T) {
-	src := `
-module m (a, y);
-  input a;
-  output y;
-  nand g1 (y, a);
-endmodule
-`
-	if _, err := Parse("t.v", src); err == nil {
+	if _, err := Parse("t.v", lenientBadAritySrc); err == nil {
 		t.Error("strict parse accepted NAND/1")
 	}
-	nl, err := ParseLenient("t.v", src)
+	nl, err := ParseLenient("t.v", lenientBadAritySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,18 +108,10 @@ endmodule
 // TestParseLenientSkipsValidate: an undriven internal net fails strict
 // parsing at Validate but survives a lenient parse for the linter to report.
 func TestParseLenientSkipsValidate(t *testing.T) {
-	src := `
-module m (a, y);
-  input a;
-  output y;
-  wire phantom;
-  and g1 (y, a, phantom);
-endmodule
-`
-	if _, err := Parse("t.v", src); err == nil || !strings.Contains(err.Error(), "undriven") {
+	if _, err := Parse("t.v", lenientUndrivenSrc); err == nil || !strings.Contains(err.Error(), "undriven") {
 		t.Errorf("strict parse accepted undriven net: %v", err)
 	}
-	nl, err := ParseLenient("t.v", src)
+	nl, err := ParseLenient("t.v", lenientUndrivenSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +122,7 @@ endmodule
 
 // TestParseLenientSyntaxStillFails: leniency is structural only.
 func TestParseLenientSyntaxStillFails(t *testing.T) {
-	if _, err := ParseLenient("t.v", "module m (a; endmodule"); err == nil {
+	if _, err := ParseLenient("t.v", lenientSyntaxSrc); err == nil {
 		t.Error("syntax error accepted")
 	}
 }
@@ -110,20 +130,11 @@ func TestParseLenientSyntaxStillFails(t *testing.T) {
 // TestParseLenientCleanMatchesStrict: on a well-formed module the two modes
 // build the same netlist.
 func TestParseLenientCleanMatchesStrict(t *testing.T) {
-	src := `
-module m (a, b, q);
-  input a, b;
-  output q;
-  wire w;
-  nand g1 (w, a, b);
-  DFF r (.D(w), .Q(q), .CK(a));
-endmodule
-`
-	strict, err := Parse("t.v", src)
+	strict, err := Parse("t.v", lenientCleanSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenient, err := ParseLenient("t.v", src)
+	lenient, err := ParseLenient("t.v", lenientCleanSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,24 +188,27 @@ func TestParseEscapedNames(t *testing.T) {
 	}
 }
 
+// parseErrorCases are inputs Parse must reject, each with a fragment its
+// error must contain. TestParseGoldens pins their full error texts.
+var parseErrorCases = []struct {
+	name string
+	src  string
+	frag string
+}{
+	{"missing module", "wire x;", "expected 'module'"},
+	{"undeclared port dir", "module m (p);\nendmodule", "no direction"},
+	{"unknown cell", "module m (a);\n input a;\n wire y;\n BOGUS77 u (y, a);\nendmodule", "unknown cell"},
+	{"unknown pin", "module m (a);\n input a;\n wire y;\n NAND2 u (.Y(y), .QQ(a), .B(a));\nendmodule", "unknown pin"},
+	{"double driver", "module m (a);\n input a;\n wire y;\n NOT u1 (y, a);\n NOT u2 (y, a);\nendmodule", "already driven"},
+	{"bad arity", "module m (a);\n input a;\n wire y;\n MUX2 u (y, a, a);\nendmodule", "MUX2 with 2 inputs"},
+	{"vector as scalar", "module m (a);\n input a;\n wire [1:0] v;\n NOT u (v, a);\nendmodule", "without a bit-select"},
+	{"missing input pin", "module m (a);\n input a;\n wire y;\n NAND2 u (.Y(y), .B(a));\nendmodule", "unconnected"},
+	{"eof", "module m (a);\n input a;\n", "unexpected end of file"},
+	{"bad constant", "module m (a);\n input a;\n wire y;\n AND2 u (y, a, 4'hF);\nendmodule", "unsupported constant"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		frag string
-	}{
-		{"missing module", "wire x;", "expected 'module'"},
-		{"undeclared port dir", "module m (p);\nendmodule", "no direction"},
-		{"unknown cell", "module m (a);\n input a;\n wire y;\n BOGUS77 u (y, a);\nendmodule", "unknown cell"},
-		{"unknown pin", "module m (a);\n input a;\n wire y;\n NAND2 u (.Y(y), .QQ(a), .B(a));\nendmodule", "unknown pin"},
-		{"double driver", "module m (a);\n input a;\n wire y;\n NOT u1 (y, a);\n NOT u2 (y, a);\nendmodule", "already driven"},
-		{"bad arity", "module m (a);\n input a;\n wire y;\n MUX2 u (y, a, a);\nendmodule", "MUX2 with 2 inputs"},
-		{"vector as scalar", "module m (a);\n input a;\n wire [1:0] v;\n NOT u (v, a);\nendmodule", "without a bit-select"},
-		{"missing input pin", "module m (a);\n input a;\n wire y;\n NAND2 u (.Y(y), .B(a));\nendmodule", "unconnected"},
-		{"eof", "module m (a);\n input a;\n", "unexpected end of file"},
-		{"bad constant", "module m (a);\n input a;\n wire y;\n AND2 u (y, a, 4'hF);\nendmodule", "unsupported constant"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		_, err := Parse("t.v", c.src)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
