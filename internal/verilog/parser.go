@@ -3,6 +3,7 @@ package verilog
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 
@@ -72,11 +73,26 @@ type parser struct {
 	resolveModule func(cell string) (*netlist.Netlist, []string, bool)
 	resolveErr    error
 
-	ports  []string          // header port names, in order
-	dir    map[string]byte   // 'i' or 'o' per declared port name
-	buses  map[string][2]int // declared vector ranges: name -> [msb, lsb]
-	consts [2]netlist.NetID
-	anon   int
+	ports      []string            // header port names, in order
+	dir        map[string]byte     // 'i' or 'o' per declared port name
+	buses      map[string]vecRange // declared vector ranges by name
+	vectorBits int                 // bits declared through vector ranges so far
+	consts     [2]netlist.NetID
+	anon       int
+}
+
+// maxVectorBits caps the bits one module may declare through vector ranges.
+// A range costs a few bytes of source but one net per bit, so without a cap
+// a 43-byte module asking for [2147483647:0] would allocate until memory
+// runs out. The cap (262,144) is more than twice the nets of the largest
+// Table-1 analog (b18a, 114k), and the check runs before any bit of a range
+// is declared.
+const maxVectorBits = 1 << 18
+
+// vecRange is a parsed "[msb:lsb]" and the position of its '['.
+type vecRange struct {
+	msb, lsb  int
+	line, col int
 }
 
 func (p *parser) advance() error {
@@ -139,7 +155,7 @@ func (p *parser) parseModule() (*netlist.Netlist, error) {
 	}
 	p.nl = netlist.New(nameTok.text)
 	p.dir = make(map[string]byte)
-	p.buses = make(map[string][2]int)
+	p.buses = make(map[string]vecRange)
 	p.consts = [2]netlist.NetID{netlist.NoNet, netlist.NoNet}
 
 	if ok, err := p.accept(tokLParen); err != nil {
@@ -201,7 +217,7 @@ func (p *parser) parsePortHeader() error {
 		return err
 	}
 	curDir := byte(0)
-	var curRange *[2]int
+	var curRange *vecRange
 	for {
 		switch p.keyword() {
 		case "input":
@@ -263,38 +279,63 @@ func (p *parser) parsePortHeader() error {
 	}
 }
 
-func (p *parser) parseRange() ([2]int, error) {
+func (p *parser) parseRange() (vecRange, error) {
+	r := vecRange{line: p.tok.line, col: p.tok.col}
 	if _, err := p.expect(tokLBracket); err != nil {
-		return [2]int{}, err
+		return r, err
 	}
 	msbTok, err := p.expect(tokNumber)
 	if err != nil {
-		return [2]int{}, err
+		return r, err
 	}
 	if _, err := p.expect(tokColon); err != nil {
-		return [2]int{}, err
+		return r, err
 	}
 	lsbTok, err := p.expect(tokNumber)
 	if err != nil {
-		return [2]int{}, err
+		return r, err
 	}
 	if _, err := p.expect(tokRBracket); err != nil {
-		return [2]int{}, err
+		return r, err
 	}
-	msb, _ := strconv.Atoi(msbTok.text)
-	lsb, _ := strconv.Atoi(lsbTok.text)
-	return [2]int{msb, lsb}, nil
+	var ok bool
+	if r.msb, ok = bitIndex(msbTok.text); !ok {
+		return r, p.errAt(r.line, r.col, "vector bound %s out of range", msbTok.text)
+	}
+	if r.lsb, ok = bitIndex(lsbTok.text); !ok {
+		return r, p.errAt(r.line, r.col, "vector bound %s out of range", lsbTok.text)
+	}
+	return r, nil
+}
+
+// bitIndex parses a vector bound or bit-select. Indexes past MaxInt32 are
+// out of range: no netlist holds that many nets, and the bound keeps a
+// range's width from overflowing.
+func bitIndex(text string) (int, bool) {
+	n, err := strconv.Atoi(text)
+	return n, err == nil && n <= math.MaxInt32
+}
+
+// errAt reports a syntax error at an earlier token's position.
+func (p *parser) errAt(line, col int, format string, args ...any) error {
+	return &SyntaxError{File: p.lx.file, Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
 func bitName(base string, idx int) string {
 	return fmt.Sprintf("%s[%d]", base, idx)
 }
 
-func (p *parser) declareBus(name string, r [2]int, dir byte) error {
-	lo, hi := r[1], r[0]
+func (p *parser) declareBus(name string, r vecRange, dir byte) error {
+	lo, hi := r.lsb, r.msb
 	if lo > hi {
 		lo, hi = hi, lo
 	}
+	width := hi - lo + 1
+	if width > maxVectorBits-p.vectorBits {
+		return p.errAt(r.line, r.col, "vector %q [%d:%d] declares %d bits, past the limit of %d vector bits per module",
+			name, r.msb, r.lsb, width, maxVectorBits)
+	}
+	p.vectorBits += width
 	for i := lo; i <= hi; i++ {
 		if err := p.declareScalar(bitName(name, i), dir); err != nil {
 			return err
@@ -328,7 +369,7 @@ func (p *parser) parseDirDecl(kw string) error {
 			return err
 		}
 	}
-	var rng *[2]int
+	var rng *vecRange
 	if p.tok.kind == tokLBracket {
 		r, err := p.parseRange()
 		if err != nil {
@@ -364,7 +405,7 @@ func (p *parser) parseWireDecl() error {
 	if err := p.advance(); err != nil {
 		return err
 	}
-	var rng *[2]int
+	var rng *vecRange
 	if p.tok.kind == tokLBracket {
 		r, err := p.parseRange()
 		if err != nil {
@@ -469,7 +510,10 @@ func (p *parser) netRef() (netlist.NetID, error) {
 		if _, err := p.expect(tokRBracket); err != nil {
 			return netlist.NoNet, err
 		}
-		idx, _ := strconv.Atoi(idxTok.text)
+		idx, ok := bitIndex(idxTok.text)
+		if !ok {
+			return netlist.NoNet, p.errAt(idxTok.line, idxTok.col, "bit-select %s out of range", idxTok.text)
+		}
 		name = bitName(name, idx)
 	} else if _, isBus := p.buses[name]; isBus {
 		return netlist.NoNet, p.errf("vector net %q used without a bit-select", name)

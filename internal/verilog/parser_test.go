@@ -1,10 +1,13 @@
 package verilog
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"gatewords/internal/logic"
+	"gatewords/internal/netlist"
 )
 
 func TestParseClassicModule(t *testing.T) {
@@ -252,6 +255,65 @@ endmodule
 	for i, w := range want {
 		if nl.Gate(int32ToGateID(i)).Name != w {
 			t.Fatalf("gate order not preserved")
+		}
+	}
+}
+
+// TestParseRangeBounds: a vector bound or bit-select past MaxInt32 is a
+// syntax error at its range, and so is a module whose vector ranges declare
+// more than maxVectorBits bits in total. Each rejection happens before any
+// bit of the offending range is declared, so the 2^31-bit case is cheap.
+func TestParseRangeBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		want string
+	}{
+		{"overflowing msb", "module m (a);\n input [99999999999999999999:0] a;\nendmodule",
+			"t.v:2:8: vector bound 99999999999999999999 out of range"},
+		{"overflowing lsb", "module m (a);\n input [0:99999999999999999999] a;\nendmodule",
+			"t.v:2:8: vector bound 99999999999999999999 out of range"},
+		{"bound past MaxInt32", "module m (a);\n wire [2147483648:0] a;\nendmodule",
+			"t.v:2:7: vector bound 2147483648 out of range"},
+		{"2^31 bits", "module m (a); input [2147483647:0] a; endmodule",
+			fmt.Sprintf("t.v:1:21: vector \"a\" [2147483647:0] declares 2147483648 bits, past the limit of %d vector bits per module", maxVectorBits)},
+		{"ANSI header", "module m (input [0:2147483647] a); endmodule",
+			fmt.Sprintf("t.v:1:17: vector \"a\" [0:2147483647] declares 2147483648 bits, past the limit of %d vector bits per module", maxVectorBits)},
+		{"one past the cap", fmt.Sprintf("module m (a); input [%d:0] a; endmodule", maxVectorBits),
+			fmt.Sprintf("t.v:1:21: vector \"a\" [%d:0] declares %d bits, past the limit of %d vector bits per module", maxVectorBits, maxVectorBits+1, maxVectorBits)},
+		{"cap summed over declarations", fmt.Sprintf("module m (a);\n input [3:0] a;\n wire [%d:0] w;\nendmodule", maxVectorBits-4),
+			fmt.Sprintf("t.v:3:7: vector \"w\" [%d:0] declares %d bits, past the limit of %d vector bits per module", maxVectorBits-4, maxVectorBits-3, maxVectorBits)},
+		{"bit-select past MaxInt32", "module m (a, y);\n input a;\n output y;\n BUF b (y, a[99999999999]);\nendmodule",
+			"t.v:4:14: bit-select 99999999999 out of range"},
+	}
+	for _, c := range cases {
+		for _, parse := range []func(string, string) (*netlist.Netlist, error){Parse, ParseLenient} {
+			_, err := parse("t.v", c.src)
+			var se *SyntaxError
+			if !errors.As(err, &se) || err.Error() != c.want {
+				t.Errorf("%s: error %v, want SyntaxError %q", c.name, err, c.want)
+			}
+		}
+	}
+
+	const width = 4096
+	src := fmt.Sprintf("module m (a, y);\n input [%d:0] a;\n output y;\n wire [0:%d] w;\n BUF b (y, a[%d]);\n BUF c (w[0], a[0]);\nendmodule", width-1, width-1, width-1)
+	if _, err := Parse("t.v", src); err == nil {
+		t.Fatal("undriven wire bits accepted")
+	}
+	nl, err := ParseLenient("t.v", src)
+	if err != nil {
+		t.Fatalf("legal wide bus rejected: %v", err)
+	}
+	if got := nl.NetCount(); got != 2*width+1 {
+		t.Errorf("nets = %d, want %d", got, 2*width+1)
+	}
+	if len(nl.PIs()) != width {
+		t.Errorf("PIs = %d, want %d", len(nl.PIs()), width)
+	}
+	for _, name := range []string{"a[0]", fmt.Sprintf("a[%d]", width-1), "w[0]", fmt.Sprintf("w[%d]", width-1)} {
+		if _, ok := nl.NetByName(name); !ok {
+			t.Errorf("bit %s missing", name)
 		}
 	}
 }
