@@ -53,8 +53,7 @@ type ExtraDriver struct {
 // file order.
 func (nl *Netlist) AddGateLenient(name string, kind logic.Kind, output NetID, inputs ...NetID) GateID {
 	id := GateID(len(nl.gates))
-	g := Gate{Name: name, Kind: kind, Inputs: append([]NetID(nil), inputs...), Output: output}
-	nl.gates = append(nl.gates, g)
+	nl.gates = append(nl.gates, Gate{Name: name, Kind: kind, Inputs: nl.carvePins(inputs), Output: output})
 	if nl.validNet(output) {
 		if nl.nets[output].Driver == NoGate {
 			nl.nets[output].Driver = id
@@ -64,7 +63,7 @@ func (nl *Netlist) AddGateLenient(name string, kind logic.Kind, output NetID, in
 	}
 	for _, in := range inputs {
 		if nl.validNet(in) {
-			nl.nets[in].Fanout = append(nl.nets[in].Fanout, id)
+			nl.addFanout(in, id)
 		}
 	}
 	return id

@@ -2,7 +2,7 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Fingerprint returns a canonical content hash of the netlist, rendered as
@@ -54,7 +54,7 @@ func (nl *Netlist) Fingerprint() string {
 		h = (h ^ flags) * fnvPrime64
 		recs = append(recs, h)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i] < recs[j] })
+	slices.Sort(recs)
 	return fmt.Sprintf("%016x%016x", nl.foldRecords(recs, fnvOffset64),
 		nl.foldRecords(recs, fingerprintSeed2))
 }

@@ -32,6 +32,12 @@ const (
 
 // Net is a single wire. A net has at most one driver; nets without a driver
 // are primary inputs (or floating, which Validate rejects unless marked PI).
+//
+// Fanout holds one entry per reading pin, in the order the readers were
+// added, and is kept up to date by every AddGate, so concurrent readers of a
+// finished netlist need no synchronisation. Its first two entries live in a
+// slab the netlist shares among its nets (see Netlist); appending to a copy
+// of the slice never writes into another net's entries.
 type Net struct {
 	Name   string
 	Driver GateID // NoGate if undriven
@@ -43,7 +49,9 @@ type Net struct {
 // Gate is a cell instance. Inputs are ordered pins; for logic.Mux2 the order
 // is [sel, a, b], for logic.Aoi21/Oai21 it is [a, b, c], for logic.DFF it is
 // [d]. Clock and reset pins are abstracted away: word identification is a
-// purely structural analysis of the data path.
+// purely structural analysis of the data path. Inputs lives in a slab the
+// netlist shares among its gates, capacity-clipped so that appending to a
+// copy of it never writes into another gate's pins.
 type Gate struct {
 	Name   string
 	Kind   logic.Kind
@@ -52,6 +60,12 @@ type Gate struct {
 }
 
 // Netlist is a flattened gate-level design.
+//
+// Gate pins and the first two fanout entries of each net are carved from
+// slabs: chunks of NetIDs and GateIDs that many gates and nets share, each
+// holding a capacity-clipped window, so building a netlist costs a handful
+// of allocations rather than one or two per gate. A chunk stays alive while
+// any gate or net still refers to it.
 type Netlist struct {
 	Name   string
 	nets   []Net
@@ -60,11 +74,30 @@ type Netlist struct {
 	// extraDrivers records multi-driver conflicts accepted by the lenient
 	// construction path (AddGateLenient) for later diagnosis.
 	extraDrivers []ExtraDriver
+	// pinSlab and fanSlab are the current chunks: their lengths are the
+	// entries handed out so far, their capacities the chunk sizes.
+	pinSlab []NetID
+	fanSlab []GateID
 }
 
 // New returns an empty netlist with the given design name.
 func New(name string) *Netlist {
 	return &Netlist{Name: name, byName: make(map[string]NetID)}
+}
+
+// NewSized returns an empty netlist with room reserved for about nets nets,
+// gates gates and pins gate input pins, for builders that can estimate
+// their size up front (the Verilog parser counts statements). The estimates
+// only size the first allocations: a netlist grows past them as usual.
+func NewSized(name string, nets, gates, pins int) *Netlist {
+	return &Netlist{
+		Name:    name,
+		nets:    make([]Net, 0, nets),
+		gates:   make([]Gate, 0, gates),
+		byName:  make(map[string]NetID, nets),
+		pinSlab: make([]NetID, 0, pins),
+		fanSlab: make([]GateID, 0, 2*nets),
+	}
 }
 
 // AddNet creates a new net with a unique name and returns its ID.
@@ -75,10 +108,15 @@ func (nl *Netlist) AddNet(name string) (NetID, error) {
 	if _, dup := nl.byName[name]; dup {
 		return NoNet, fmt.Errorf("netlist %s: duplicate net %q", nl.Name, name)
 	}
+	return nl.appendNet(name), nil
+}
+
+// appendNet adds a net whose name is known to be new and non-empty.
+func (nl *Netlist) appendNet(name string) NetID {
 	id := NetID(len(nl.nets))
 	nl.nets = append(nl.nets, Net{Name: name, Driver: NoGate})
 	nl.byName[name] = id
-	return id, nil
+	return id
 }
 
 // MustNet is AddNet for construction code where duplicate names are a
@@ -92,11 +130,15 @@ func (nl *Netlist) MustNet(name string) NetID {
 }
 
 // EnsureNet returns the existing net named name, creating it if necessary.
+// It panics on an empty name, as MustNet does.
 func (nl *Netlist) EnsureNet(name string) NetID {
 	if id, ok := nl.byName[name]; ok {
 		return id
 	}
-	return nl.MustNet(name)
+	if name == "" {
+		return nl.MustNet(name)
+	}
+	return nl.appendNet(name)
 }
 
 // AddGate appends a gate driving output from inputs. Gate order is
@@ -121,13 +163,56 @@ func (nl *Netlist) AddGate(name string, kind logic.Kind, output NetID, inputs ..
 		}
 	}
 	id := GateID(len(nl.gates))
-	g := Gate{Name: name, Kind: kind, Inputs: append([]NetID(nil), inputs...), Output: output}
-	nl.gates = append(nl.gates, g)
+	nl.gates = append(nl.gates, Gate{Name: name, Kind: kind, Inputs: nl.carvePins(inputs), Output: output})
 	nl.nets[output].Driver = id
 	for _, in := range inputs {
-		nl.nets[in].Fanout = append(nl.nets[in].Fanout, id)
+		nl.addFanout(in, id)
 	}
 	return id, nil
+}
+
+// Slab chunks start at minSlabChunk entries and double up to maxSlabChunk,
+// so a netlist built without NewSized's estimate makes a few dozen chunk
+// allocations at most and wastes less than one chunk.
+const (
+	minSlabChunk = 256
+	maxSlabChunk = 1 << 16
+)
+
+// nextChunk returns the capacity of the chunk that follows one of capacity
+// prev, when need entries must fit in it.
+func nextChunk(prev, need int) int {
+	return max(need, min(max(2*prev, minSlabChunk), maxSlabChunk))
+}
+
+// carvePins copies inputs into the pin slab and returns the copy with its
+// capacity clipped to its length. An empty input list stays nil.
+func (nl *Netlist) carvePins(inputs []NetID) []NetID {
+	if len(inputs) == 0 {
+		return nil
+	}
+	if cap(nl.pinSlab)-len(nl.pinSlab) < len(inputs) {
+		nl.pinSlab = make([]NetID, 0, nextChunk(cap(nl.pinSlab), len(inputs)))
+	}
+	start := len(nl.pinSlab)
+	nl.pinSlab = append(nl.pinSlab, inputs...)
+	return nl.pinSlab[start:len(nl.pinSlab):len(nl.pinSlab)]
+}
+
+// addFanout records gate g as a reader of net n. A net's first reader
+// gives it a two-entry window of the fanout slab; a third reader makes
+// append move the list to a slice of its own.
+func (nl *Netlist) addFanout(n NetID, g GateID) {
+	net := &nl.nets[n]
+	if cap(net.Fanout) == 0 {
+		if cap(nl.fanSlab)-len(nl.fanSlab) < 2 {
+			nl.fanSlab = make([]GateID, 0, nextChunk(cap(nl.fanSlab), 2))
+		}
+		start := len(nl.fanSlab)
+		nl.fanSlab = nl.fanSlab[:start+2]
+		net.Fanout = nl.fanSlab[start : start : start+2]
+	}
+	net.Fanout = append(net.Fanout, g)
 }
 
 // MustGate is AddGate that panics on error, for construction code.

@@ -28,8 +28,11 @@ func CellKind(cell string) (logic.Kind, bool) {
 }
 
 func cellBase(name string) (logic.Kind, bool) {
-	base := strings.TrimRight(name, "0123456789")
-	switch base {
+	i := len(name)
+	for i > 0 && isDigit(name[i-1]) {
+		i--
+	}
+	switch base := name[:i]; base {
 	case "AND":
 		return logic.And, true
 	case "OR":

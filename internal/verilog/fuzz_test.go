@@ -1,12 +1,20 @@
 package verilog
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"gatewords/internal/netlist"
 )
 
-// FuzzParse hardens the frontend: arbitrary input must never panic, and
-// anything that parses must survive a write/re-parse round trip.
+// FuzzParse hardens the frontend: arbitrary input must never panic,
+// ParseLenient must build the same netlist as Parse on anything Parse
+// accepts, and anything that parses must survive a write/re-parse round
+// trip with every gate's name, kind, output and input names in pin order
+// and the primary input and output sets intact.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -41,7 +49,48 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip changed counts: %d/%d -> %d/%d",
 				nl.GateCount(), nl.NetCount(), back.GateCount(), back.NetCount())
 		}
+		if got, want := gateLines(back), gateLines(nl); !slices.Equal(got, want) {
+			t.Fatalf("round trip changed gates:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		for _, ports := range []func(*netlist.Netlist) []netlist.NetID{(*netlist.Netlist).PIs, (*netlist.Netlist).POs} {
+			if got, want := sortedNames(back, ports(back)), sortedNames(nl, ports(nl)); !slices.Equal(got, want) {
+				t.Fatalf("round trip changed ports: %v, want %v", got, want)
+			}
+		}
+		lenient, err := ParseLenient("fuzz.v", src)
+		if err != nil {
+			t.Fatalf("ParseLenient rejected what Parse accepted: %v", err)
+		}
+		if !bytes.Equal(dumpNetlist(lenient), dumpNetlist(nl)) {
+			t.Fatalf("ParseLenient and Parse build different netlists from %q", src)
+		}
 	})
+}
+
+// gateLines renders each gate, in file order, as its name, kind, output
+// and input net names in pin order: what a round trip through Write must
+// keep, since net IDs may be renumbered.
+func gateLines(nl *netlist.Netlist) []string {
+	out := make([]string, nl.GateCount())
+	for i := range out {
+		g := nl.Gate(netlist.GateID(i))
+		names := make([]string, len(g.Inputs))
+		for j, in := range g.Inputs {
+			names[j] = nl.NetName(in)
+		}
+		out[i] = fmt.Sprintf("%q %s %q <- %q", g.Name, g.Kind, nl.NetName(g.Output), names)
+	}
+	return out
+}
+
+// sortedNames returns the names of ids, sorted.
+func sortedNames(nl *netlist.Netlist, ids []netlist.NetID) []string {
+	names := make([]string, len(ids))
+	for i, id := range ids {
+		names[i] = nl.NetName(id)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // TestParsePinVariants covers the pin-name families of common libraries.

@@ -215,11 +215,12 @@ func (p *parser) splice(sub *netlist.Netlist, inst string, bindings map[string]n
 		}
 		mapped[id] = p.nl.EnsureNet(inst + "/" + cname)
 	}
+	var ins []netlist.NetID // AddGate copies the pins it keeps
 	for gi := 0; gi < sub.GateCount(); gi++ {
 		g := sub.Gate(netlist.GateID(gi))
-		ins := make([]netlist.NetID, len(g.Inputs))
-		for i, in := range g.Inputs {
-			ins[i] = mapped[in]
+		ins = ins[:0]
+		for _, in := range g.Inputs {
+			ins = append(ins, mapped[in])
 		}
 		if _, err := p.nl.AddGate(inst+"/"+g.Name, g.Kind, mapped[g.Output], ins...); err != nil {
 			return fmt.Errorf("instance %s: %v", inst, err)

@@ -11,7 +11,6 @@ package verilog
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -130,8 +129,14 @@ func (lx *lexer) next() (token, error) {
 			return token{kind: tokEOF, line: lx.line, col: lx.col}, nil
 		}
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.pos++
+			lx.col++
+			continue
+		case c == '\n':
+			lx.pos++
+			lx.line++
+			lx.col = 1
 			continue
 		case c == '/':
 			if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/' {
@@ -205,65 +210,58 @@ func (lx *lexer) next() (token, error) {
 		// Escaped identifier: backslash up to (exclusive) the next
 		// whitespace. The backslash is not part of the net name.
 		lx.advance()
-		var sb strings.Builder
-		for {
-			c2, ok := lx.peekByte()
-			if !ok || c2 == ' ' || c2 == '\t' || c2 == '\r' || c2 == '\n' {
-				break
-			}
-			sb.WriteByte(lx.advance())
-		}
-		if sb.Len() == 0 {
+		text := lx.scan(func(c byte) bool { return c != ' ' && c != '\t' && c != '\r' && c != '\n' })
+		if text == "" {
 			return token{}, lx.errf(line, col, "empty escaped identifier")
 		}
-		return token{tokIdent, sb.String(), line, col}, nil
+		return token{tokIdent, text, line, col}, nil
 	}
 
 	if isDigit(c) {
-		var sb strings.Builder
-		for {
-			c2, ok := lx.peekByte()
-			if !ok || !isDigit(c2) {
-				break
-			}
-			sb.WriteByte(lx.advance())
-		}
+		start := lx.pos
+		lx.scan(isDigit)
 		// A based literal like 1'b0 or 4'hF.
 		if c2, ok := lx.peekByte(); ok && c2 == '\'' {
-			sb.WriteByte(lx.advance())
-			for {
-				c3, ok := lx.peekByte()
-				if !ok || !(isAlnum(c3) || c3 == '_') {
-					break
-				}
-				sb.WriteByte(lx.advance())
-			}
-			return token{tokBased, sb.String(), line, col}, nil
+			lx.advance()
+			lx.scan(func(c byte) bool { return isAlnum(c) || c == '_' })
+			return token{tokBased, lx.src[start:lx.pos], line, col}, nil
 		}
-		return token{tokNumber, sb.String(), line, col}, nil
+		return token{tokNumber, lx.src[start:lx.pos], line, col}, nil
 	}
 
 	if isIdentStart(c) {
-		var sb strings.Builder
-		for {
-			c2, ok := lx.peekByte()
-			if !ok || !(isAlnum(c2) || c2 == '_' || c2 == '$') {
-				break
-			}
-			sb.WriteByte(lx.advance())
-		}
-		return token{tokIdent, sb.String(), line, col}, nil
+		return token{tokIdent, lx.scan(isIdentChar), line, col}, nil
 	}
 
 	return token{}, lx.errf(line, col, "unexpected character %q", rune(c))
 }
 
+// scan consumes the longest run of bytes satisfying in and returns it as a
+// substring of the source: token texts alias the source, so lexing copies
+// nothing. in must reject '\n', which keeps the run on one line.
+func (lx *lexer) scan(in func(byte) bool) string {
+	start := lx.pos
+	for lx.pos < len(lx.src) && in(lx.src[lx.pos]) {
+		lx.pos++
+	}
+	lx.col += lx.pos - start
+	return lx.src[start:lx.pos]
+}
+
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func isAlnum(c byte) bool {
-	return isDigit(c) || unicode.IsLetter(rune(c))
-}
+func isAlnum(c byte) bool { return letters[c] || isDigit(c) }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || c == '$' || unicode.IsLetter(rune(c))
-}
+func isIdentStart(c byte) bool { return letters[c] || c == '_' || c == '$' }
+
+func isIdentChar(c byte) bool { return letters[c] || isDigit(c) || c == '_' || c == '$' }
+
+// letters marks the bytes that unicode.IsLetter accepts when read as a
+// rune, the identifier alphabet of this lexer (ASCII letters plus the
+// Latin-1 letters from 0xAA up).
+var letters = func() (t [256]bool) {
+	for c := range t {
+		t[c] = unicode.IsLetter(rune(c))
+	}
+	return t
+}()

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"strings"
 
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
@@ -73,6 +74,7 @@ type parser struct {
 	resolveModule func(cell string) (*netlist.Netlist, []string, bool)
 	resolveErr    error
 
+	pins       []netlist.NetID     // pin buffer reused by every instance
 	ports      []string            // header port names, in order
 	dir        map[string]byte     // 'i' or 'o' per declared port name
 	buses      map[string]vecRange // declared vector ranges by name
@@ -88,6 +90,18 @@ type parser struct {
 // Table-1 analog (b18a, 114k), and the check runs before any bit of a range
 // is declared.
 const maxVectorBits = 1 << 18
+
+// sizeHint estimates the nets, gates and gate input pins a module source
+// declares, to size the netlist's first allocations. Every statement ends
+// in ';' and every instance in ");". Declarations are the other statements:
+// one net each as Write emits them, or long lists that are mostly gate
+// outputs, which a gate count covers. Two to three inputs per gate is the
+// common case.
+func sizeHint(src string) (nets, gates, pins int) {
+	stmts := strings.Count(src, ";")
+	gates = strings.Count(src, ");")
+	return max(stmts-gates, gates), gates, 3 * gates
+}
 
 // vecRange is a parsed "[msb:lsb]" and the position of its '['.
 type vecRange struct {
@@ -153,7 +167,13 @@ func (p *parser) parseModule() (*netlist.Netlist, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.nl = netlist.New(nameTok.text)
+	// Token texts alias the source, so net and gate names do too: they live
+	// as long as the netlist, which is about the size of the source anyway.
+	// The module name is copied out, because holders of just the name (a
+	// service job, a report) outlive the netlist and would otherwise keep
+	// the whole source alive.
+	nets, gates, pins := sizeHint(p.lx.src)
+	p.nl = netlist.NewSized(strings.Clone(nameTok.text), nets, gates, pins)
 	p.dir = make(map[string]byte)
 	p.buses = make(map[string]vecRange)
 	p.consts = [2]netlist.NetID{netlist.NoNet, netlist.NoNet}
@@ -322,7 +342,7 @@ func (p *parser) errAt(line, col int, format string, args ...any) error {
 }
 
 func bitName(base string, idx int) string {
-	return fmt.Sprintf("%s[%d]", base, idx)
+	return base + "[" + strconv.Itoa(idx) + "]"
 }
 
 func (p *parser) declareBus(name string, r vecRange, dir byte) error {
@@ -563,18 +583,9 @@ func (p *parser) parsePrimitive(kind logic.Kind) error {
 	if _, err := p.expect(tokLParen); err != nil {
 		return err
 	}
-	var nets []netlist.NetID
-	for {
-		n, err := p.netRef()
-		if err != nil {
-			return err
-		}
-		nets = append(nets, n)
-		if ok, err := p.accept(tokComma); err != nil {
-			return err
-		} else if !ok {
-			break
-		}
+	nets, err := p.positionalPins()
+	if err != nil {
+		return err
 	}
 	if _, err := p.expect(tokRParen); err != nil {
 		return err
@@ -629,8 +640,8 @@ func (p *parser) parseInstance(cell string) error {
 	out := netlist.NoNet
 	var ins []netlist.NetID
 	if p.tok.kind == tokDot {
-		slots := make(map[int]netlist.NetID)
-		maxSlot := -1
+		// ins[slot] is the net on input slot, NoNet until connected.
+		ins = p.pins[:0]
 		for {
 			if _, err := p.expect(tokDot); err != nil {
 				return err
@@ -657,10 +668,10 @@ func (p *parser) parseInstance(cell string) error {
 			case slot == -1:
 				out = n
 			case slot >= 0:
-				slots[slot] = n
-				if slot > maxSlot {
-					maxSlot = slot
+				for len(ins) <= slot {
+					ins = append(ins, netlist.NoNet)
 				}
+				ins[slot] = n
 			}
 			if ok, err := p.accept(tokComma); err != nil {
 				return err
@@ -668,27 +679,16 @@ func (p *parser) parseInstance(cell string) error {
 				break
 			}
 		}
-		ins = make([]netlist.NetID, maxSlot+1)
-		for i := range ins {
-			n, filled := slots[i]
-			if !filled {
+		p.pins = ins
+		for i, n := range ins {
+			if n == netlist.NoNet {
 				return p.errf("cell %s %s: input pin %d unconnected", cell, instTok.text, i)
 			}
-			ins[i] = n
 		}
 	} else {
-		var nets []netlist.NetID
-		for {
-			n, err := p.netRef()
-			if err != nil {
-				return err
-			}
-			nets = append(nets, n)
-			if ok, err := p.accept(tokComma); err != nil {
-				return err
-			} else if !ok {
-				break
-			}
+		nets, err := p.positionalPins()
+		if err != nil {
+			return err
 		}
 		if len(nets) < 2 {
 			return p.errf("cell %s %s: needs an output and at least one input", cell, instTok.text)
@@ -709,6 +709,27 @@ func (p *parser) parseInstance(cell string) error {
 		return p.errf("cell %s %s: %v", cell, instTok.text, err)
 	}
 	return nil
+}
+
+// positionalPins parses a comma-separated list of net references into the
+// shared pin buffer. The result is valid until the next instance is parsed;
+// AddGate copies the pins it keeps.
+func (p *parser) positionalPins() ([]netlist.NetID, error) {
+	nets := p.pins[:0]
+	for {
+		n, err := p.netRef()
+		if err != nil {
+			return nil, err
+		}
+		nets = append(nets, n)
+		if ok, err := p.accept(tokComma); err != nil {
+			return nil, err
+		} else if !ok {
+			break
+		}
+	}
+	p.pins = nets
+	return nets, nil
 }
 
 func (p *parser) finish() (*netlist.Netlist, error) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
@@ -314,6 +315,31 @@ func TestParseRangeBounds(t *testing.T) {
 	for _, name := range []string{"a[0]", fmt.Sprintf("a[%d]", width-1), "w[0]", fmt.Sprintf("w[%d]", width-1)} {
 		if _, ok := nl.NetByName(name); !ok {
 			t.Errorf("bit %s missing", name)
+		}
+	}
+}
+
+// TestParseNameDoesNotAliasSource: net and gate names are substrings of the
+// source, but the module name is copied out of it, so a holder of just the
+// name does not keep the whole source alive.
+func TestParseNameDoesNotAliasSource(t *testing.T) {
+	src := "module top (a, y);\n input a;\n output y;\n NOT g (y, a);\nendmodule\n"
+	within := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		start := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+		return len(s) > 0 && p >= start && p < start+uintptr(len(src))
+	}
+	for _, parse := range []func(string, string) (*netlist.Netlist, error){Parse, ParseLenient} {
+		nl, err := parse("t.v", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nl.Name != "top" || within(nl.Name) {
+			t.Errorf("module name %q points into the source", nl.Name)
+		}
+		// The check above can see aliasing: net names do alias the source.
+		if y, _ := nl.NetByName("y"); !within(nl.NetName(y)) {
+			t.Errorf("net name %q was copied out of the source", nl.NetName(y))
 		}
 	}
 }
