@@ -162,19 +162,37 @@ func BenchmarkAblationPartialGroups(b *testing.B) {
 	}
 }
 
-// BenchmarkParseVerilog measures the frontend on a mid-size benchmark.
+// BenchmarkParseVerilog measures the frontend, validation included, on the
+// b14 analog that the benchmark's b14 and serve workloads parse and on the
+// larger b15 analog.
 func BenchmarkParseVerilog(b *testing.B) {
-	gen := generatedBench(b, "b15a")
-	text, err := verilog.WriteString(gen.NL)
-	if err != nil {
-		b.Fatal(err)
+	for _, name := range []string{"b14a", "b15a"} {
+		b.Run(name, func(b *testing.B) {
+			gen := generatedBench(b, name)
+			text, err := verilog.WriteString(gen.NL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := verilog.Parse(name+".v", text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.SetBytes(int64(len(text)))
+}
+
+// BenchmarkFingerprint measures the canonical content hash that keys the
+// service's result cache and quarantine breaker, on the b14 analog.
+func BenchmarkFingerprint(b *testing.B) {
+	nl := generatedBench(b, "b14a").NL
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := verilog.Parse("b15a.v", text); err != nil {
-			b.Fatal(err)
-		}
+		nl.Fingerprint()
 	}
 }
 
