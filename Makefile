@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check gatevet vet-fix faults serve-smoke chaos chaos-long bench bench-eqcheck bench-eqcheck-smoke bench-pipeline bench-pipeline-smoke bench-scoap bench-scoap-smoke perfbench-check perfbench-smoke race
+.PHONY: build test check vet gatevet vet-fix faults serve-smoke chaos chaos-long bench bench-eqcheck bench-eqcheck-smoke bench-pipeline bench-pipeline-smoke bench-scoap bench-scoap-smoke perfbench-check perfbench-smoke race
 
 build:
 	$(GO) build ./...
@@ -29,26 +29,21 @@ gatevet:
 vet-fix:
 	$(GO) run ./cmd/gatevet -json .
 
-# check is the full pre-commit gate: vet, formatting, the contract
-# analyzers, the race-detector test pass (which subsumes the plain test
-# pass — every test runs exactly once, instrumented), the fault-injection
-# matrix, the daemon smoke, the bench emitter smokes, and the benchmark
-# module's vet, tests and workload smoke. gatevet runs
-# before the test passes: contract findings are cheaper to surface than a
-# full race run.
-check:
+# check is the full pre-commit gate, a list of the gates below, each run
+# once, in this order: vet and formatting, the contract analyzers, the
+# race-detector test pass (which subsumes the plain test pass — every test
+# runs exactly once, instrumented), the fault-injection matrix, the daemon
+# smoke, the chaos soak, the bench emitter smokes, and the benchmark
+# module's vet, tests and workload smoke. gatevet runs before the test
+# passes: contract findings are cheaper to surface than a full race run.
+# CI runs the same targets as separate steps instead of calling check.
+check: vet gatevet race faults serve-smoke chaos bench-scoap-smoke bench-eqcheck-smoke perfbench-check perfbench-smoke
+
+# vet runs go vet and fails on any file gofmt would change.
+vet:
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(MAKE) gatevet
-	$(GO) test -race ./...
-	$(MAKE) faults
-	$(MAKE) serve-smoke
-	$(MAKE) chaos
-	$(MAKE) bench-scoap-smoke
-	$(MAKE) bench-eqcheck-smoke
-	$(MAKE) perfbench-check
-	$(MAKE) perfbench-smoke
 
 # perfbench-check vets and tests the repository benchmark (perfbench/, see
 # BENCHMARK.json). It is a nested module outside ./..., so no other target
