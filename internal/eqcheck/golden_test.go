@@ -22,7 +22,7 @@ import (
 // updateGoldens rewrites testdata/checknetlists_goldens.json from the
 // current code:
 //
-//	go test -run TestCheckNetlistsGoldens -update-goldens ./internal/eqcheck/
+//	go test ./internal/eqcheck/ -run TestCheckNetlistsGoldens -update-goldens
 //
 // Regenerate only when a change is meant to alter verdicts, stages,
 // counterexamples or solver work, and say so in the change description.

@@ -129,14 +129,8 @@ func (lx *lexer) next() (token, error) {
 			return token{kind: tokEOF, line: lx.line, col: lx.col}, nil
 		}
 		switch {
-		case c == ' ' || c == '\t' || c == '\r':
-			lx.pos++
-			lx.col++
-			continue
-		case c == '\n':
-			lx.pos++
-			lx.line++
-			lx.col = 1
+		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+			lx.advance()
 			continue
 		case c == '/':
 			if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/' {

@@ -97,11 +97,22 @@ const maxVectorBits = 1 << 18
 // one net each as Write emits them, or long lists that are mostly gate
 // outputs, which a gate count covers. Two to three inputs per gate is the
 // common case.
+//
+// The counts come from untrusted text and are reserved before the source
+// is checked, so each is capped at one per 16 bytes of source (Write
+// averages 27 per statement) and at maxSizeHint. However a source arranges
+// its semicolons, the reservation stays near 12 bytes per source byte and
+// under about 24 MB.
 func sizeHint(src string) (nets, gates, pins int) {
-	stmts := strings.Count(src, ";")
-	gates = strings.Count(src, ");")
+	limit := min(len(src)/16, maxSizeHint)
+	stmts := min(strings.Count(src, ";"), limit)
+	gates = min(strings.Count(src, ");"), limit)
 	return max(stmts-gates, gates), gates, 3 * gates
 }
+
+// maxSizeHint covers the largest Table-1 analog, b18a (101k gates, 115k
+// other statements); larger netlists grow past their first allocations.
+const maxSizeHint = 1 << 17
 
 // vecRange is a parsed "[msb:lsb]" and the position of its '['.
 type vecRange struct {

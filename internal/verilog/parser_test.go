@@ -3,6 +3,7 @@ package verilog
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -340,6 +341,35 @@ func TestParseNameDoesNotAliasSource(t *testing.T) {
 		// The check above can see aliasing: net names do alias the source.
 		if y, _ := nl.NetByName("y"); !within(nl.NetName(y)) {
 			t.Errorf("net name %q was copied out of the source", nl.NetName(y))
+		}
+	}
+}
+
+// TestParseSizeHintBounded: the parser reserves netlist storage from counts
+// of ';' and ");" before it checks the source, so a source made of them
+// must not reserve much more than 12 bytes per source byte, nor much more
+// than 24 MB however long it is. Both sources are rejected at their first
+// ')'. Uncapped, the two would reserve about 12 MB and 97 MB.
+func TestParseSizeHintBounded(t *testing.T) {
+	for _, c := range []struct {
+		reps  int
+		limit uint64
+	}{
+		{1 << 16, 16 * 2 << 16}, // 128 KB: bounded by its length
+		{1 << 22, 32 << 20},     // 8 MB: bounded by maxSizeHint
+	} {
+		src := "module m (a);\n" + strings.Repeat(");", c.reps)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse("t.v", src)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d bytes of \");\" accepted", len(src))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.limit {
+			t.Errorf("%d bytes of \");\" allocated %d bytes, want at most %d", len(src), got, c.limit)
+		} else {
+			t.Logf("%d bytes of \");\" allocated %d bytes", len(src), got)
 		}
 	}
 }
