@@ -130,7 +130,7 @@ func (p *parser) advance() error {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{File: p.lx.file, Line: p.tok.line, Col: p.tok.col, Msg: fmt.Sprintf(format, args...)}
+	return p.errAt(p.tok.line, p.tok.col, format, args...)
 }
 
 func (p *parser) expect(k tokenKind) (token, error) {
@@ -178,9 +178,9 @@ func (p *parser) parseModule() (*netlist.Netlist, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Token texts alias the source, so net and gate names do too: they live
-	// as long as the netlist, which is about the size of the source anyway.
-	// The module name is copied out, because holders of just the name (a
+	// Token texts alias the source, so net and gate names do too: the
+	// source lives as long as the netlist, which is larger anyway. The
+	// module name is copied out, because holders of just the name (a
 	// service job, a report) outlive the netlist and would otherwise keep
 	// the whole source alive.
 	nets, gates, pins := sizeHint(p.lx.src)
@@ -347,7 +347,8 @@ func bitIndex(text string) (int, bool) {
 	return n, err == nil && n <= math.MaxInt32
 }
 
-// errAt reports a syntax error at an earlier token's position.
+// errAt reports a syntax error at a given position, such as an earlier
+// token's; errf reports one at the current token.
 func (p *parser) errAt(line, col int, format string, args ...any) error {
 	return &SyntaxError{File: p.lx.file, Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
