@@ -349,14 +349,15 @@ func TestParseNameDoesNotAliasSource(t *testing.T) {
 // of ';' and ");" before it checks the source, so a source made of them
 // must not reserve much more than 12 bytes per source byte, nor much more
 // than 24 MB however long it is. Both sources are rejected at their first
-// ')'. Uncapped, the two would reserve about 12 MB and 97 MB.
+// ')'. With only the other cap, the two would reserve about 12 MB and
+// 97 MB; with neither, the second would reserve 777 MB.
 func TestParseSizeHintBounded(t *testing.T) {
 	for _, c := range []struct {
 		reps  int
 		limit uint64
 	}{
-		{1 << 16, 16 * 2 << 16}, // 128 KB: bounded by its length
-		{1 << 22, 32 << 20},     // 8 MB: bounded by maxSizeHint
+		{1 << 16, 16 * (2 << 16)}, // 128 KB: bounded by its length
+		{1 << 22, 32 << 20},       // 8 MB: bounded by maxSizeHint
 	} {
 		src := "module m (a);\n" + strings.Repeat(");", c.reps)
 		var before, after runtime.MemStats
