@@ -172,8 +172,8 @@ func (nl *Netlist) AddGate(name string, kind logic.Kind, output NetID, inputs ..
 }
 
 // Slab chunks start at minSlabChunk entries and double up to maxSlabChunk,
-// so a netlist built without NewSized's estimate makes a few dozen chunk
-// allocations at most and wastes less than one chunk.
+// so a netlist built without NewSized's estimate needs about a dozen chunks
+// for b18a's 220k pins and leaves less than one chunk unused.
 const (
 	minSlabChunk = 256
 	maxSlabChunk = 1 << 16
