@@ -217,7 +217,8 @@ func observeCheck(t *testing.T, name string, na, nb *netlist.Netlist, opt eqchec
 // TestCheckNetlistsGoldens pins CheckNetlists byte for byte — every verdict,
 // stage, counterexample and Stats field, plus the obs counters — on the b08,
 // b13 and b15 analogs against their resyntheses, unmutated and with two kinds
-// of mutation, under every option set above. b15a is skipped under -short.
+// of mutation, under every option set above. b15a is skipped under -short;
+// the full run also fails on a golden record that no case produces.
 func TestCheckNetlistsGoldens(t *testing.T) {
 	analogs := []string{"b08a", "b13a", "b15a"}
 	if testing.Short() {
@@ -259,6 +260,9 @@ func TestCheckNetlistsGoldens(t *testing.T) {
 	byName := make(map[string]checkGolden, len(want))
 	for _, w := range want {
 		byName[w.Name] = w
+	}
+	if len(byName) != len(want) || !testing.Short() && len(want) != len(got) {
+		t.Fatalf("%d golden records for %d cases (regenerate with -update-goldens)", len(want), len(got))
 	}
 	for _, g := range got {
 		w, ok := byName[g.Name]
