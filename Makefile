@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet gatevet vet-fix faults serve-smoke chaos chaos-long bench bench-eqcheck bench-eqcheck-smoke bench-pipeline bench-pipeline-smoke bench-scoap bench-scoap-smoke perfbench-check perfbench-smoke race
+.PHONY: build test check vet gatevet vet-fix faults serve-smoke chaos chaos-long bench perfbench-check perfbench-smoke race
 
 build:
 	$(GO) build ./...
@@ -33,11 +33,11 @@ vet-fix:
 # once, in this order: vet and formatting, the contract analyzers, the
 # race-detector test pass (which subsumes the plain test pass — every test
 # runs exactly once, instrumented), the fault-injection matrix, the daemon
-# smoke, the chaos soak, the bench emitter smokes, and the benchmark
-# module's vet, tests and workload smoke. gatevet runs before the test
-# passes: contract findings are cheaper to surface than a full race run.
+# smoke, the chaos soak, and the benchmark module's vet, tests and workload
+# smoke. gatevet runs before the test passes: contract findings are cheaper
+# to surface than a full race run.
 # CI runs the same targets as separate steps instead of calling check.
-check: vet gatevet race faults serve-smoke chaos bench-scoap-smoke bench-eqcheck-smoke perfbench-check perfbench-smoke
+check: vet gatevet race faults serve-smoke chaos perfbench-check perfbench-smoke
 
 # vet runs go vet and fails on any file gofmt would change.
 vet:
@@ -97,42 +97,3 @@ chaos-long:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
-
-# bench-eqcheck runs the equivalence-checker throughput harness over the
-# generated benchmark suite and writes BENCH_eqcheck.json (per-bench cone
-# counts, stage resolution split, solver stats, wall time).
-bench-eqcheck:
-	BENCH_EQCHECK_OUT=$(CURDIR)/BENCH_eqcheck.json $(GO) test -run TestEmitEqcheckBench -v .
-
-# bench-eqcheck-smoke exercises the same harness on one small analog and a
-# throwaway output file — the CI guard that the emitter (identify, miter
-# resynthesis, CDCL-vs-DPLL sweep) keeps working without paying for the
-# b14/b15 rows.
-bench-eqcheck-smoke:
-	BENCH_EQCHECK_OUT=$$(mktemp) BENCH_EQCHECK_BENCHES=b08 $(GO) test -run TestEmitEqcheckBench -v .
-
-# bench-pipeline regenerates the committed per-stage performance baseline
-# BENCH_pipeline.json: core.Identify over every Table-1 analog with an
-# Observer attached and reduction verification on, recording the stage split
-# (group/match/ctrlsig/trial/verify), work counters, and peak gauges.
-bench-pipeline:
-	BENCH_PIPELINE_OUT=$(CURDIR)/BENCH_pipeline.json $(GO) test -run TestEmitPipelineBench -v .
-
-# bench-pipeline-smoke exercises the same harness on two small analogs and a
-# throwaway output file — the CI guard that the emitter keeps working without
-# paying for the b17/b18 rows.
-bench-pipeline-smoke:
-	BENCH_PIPELINE_OUT=$$(mktemp) BENCH_PIPELINE_BENCHES=b03a,b08a $(GO) test -run TestEmitPipelineBench -v .
-
-# bench-scoap regenerates the committed SCOAP-engine throughput baseline
-# BENCH_scoap.json: scoap.Compute (forward controllability + backward
-# observability to their fixed points) over the b14/b15 analogs, recording
-# gates/sec, solver iterations, and widened-SCC counts.
-bench-scoap:
-	BENCH_SCOAP_OUT=$(CURDIR)/BENCH_scoap.json $(GO) test -run TestEmitScoapBench -v .
-
-# bench-scoap-smoke exercises the same harness on one small analog and a
-# throwaway output file — the CI guard that the emitter keeps working without
-# paying for a full regeneration.
-bench-scoap-smoke:
-	BENCH_SCOAP_OUT=$$(mktemp) BENCH_SCOAP_BENCHES=b03a $(GO) test -run TestEmitScoapBench -v .

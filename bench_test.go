@@ -7,19 +7,24 @@
 // example. The Ablation benchmarks measure the design choices DESIGN.md
 // calls out: assignment budget (the paper's §2.5 singles-then-pairs and its
 // future-work triples), fanin-cone depth (§2.1 argues 2–4 levels), and the
-// cohesive partial-group rule.
+// cohesive partial-group rule. BenchmarkObserverOff/On measure the cost of
+// an attached Observer, and TestIdentifyDeadline pins cancellation on b18a.
 //
 // Run with: go test -bench=. -benchmem
 package gatewords
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gatewords/internal/bench"
 	"gatewords/internal/core"
 	"gatewords/internal/metrics"
+	"gatewords/internal/obs"
 	"gatewords/internal/reduce"
 	"gatewords/internal/shapehash"
 	"gatewords/internal/verilog"
@@ -302,4 +307,109 @@ func BenchmarkParallelIdentify(b *testing.B) {
 			}
 		})
 	}
+}
+
+// b14aCache generates the b14 analog once for the observer-overhead
+// benchmarks: generation dominates a single Identify and must stay out of
+// the measured loop.
+var b14aCache struct {
+	once sync.Once
+	gen  *bench.Generated
+	err  error
+}
+
+func b14aNetlist(tb testing.TB) *bench.Generated {
+	b14aCache.once.Do(func() {
+		p, ok := bench.ProfileByName("b14a")
+		if !ok {
+			panic("b14a profile missing")
+		}
+		b14aCache.gen, b14aCache.err = p.Generate()
+	})
+	if b14aCache.err != nil {
+		tb.Fatalf("generate b14a: %v", b14aCache.err)
+	}
+	return b14aCache.gen
+}
+
+// BenchmarkObserverOff pins the nil-recorder contract of internal/obs: the
+// pipeline with Observer == nil is the baseline that BenchmarkObserverOn is
+// compared against (acceptance: within ~2% on this bench).
+func BenchmarkObserverOff(b *testing.B) {
+	gen := b14aNetlist(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.Identify(gen.NL, core.Options{})
+	}
+}
+
+// BenchmarkObserverOn measures the same pipeline with a live recorder (a
+// fresh one per iteration, as real callers hold one per run).
+func BenchmarkObserverOn(b *testing.B) {
+	gen := b14aNetlist(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.Identify(gen.NL, core.Options{Observer: obs.New()})
+	}
+}
+
+// TestIdentifyDeadline pins the cancellation semantics on the b18 analog,
+// the one benchmark long enough to interrupt determinately: an expired
+// deadline returns promptly with Stats.Interrupted set, and the partial
+// word list is a strict prefix of the uninterrupted sequential run — every
+// emitted word is complete, never a half-resolved subgroup.
+func TestIdentifyDeadline(t *testing.T) {
+	p, ok := bench.ProfileByName("b18a")
+	if !ok {
+		t.Fatal("b18a profile missing")
+	}
+	gen, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fullStart := time.Now()
+	full := core.Identify(gen.NL, core.Options{})
+	fullElapsed := time.Since(fullStart)
+	if full.Stats.Interrupted {
+		t.Fatal("uninterrupted run marked interrupted")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	partStart := time.Now()
+	part := core.Identify(gen.NL, core.Options{Context: ctx})
+	partElapsed := time.Since(partStart)
+
+	if !part.Stats.Interrupted {
+		t.Fatalf("deadline run not interrupted (took %s, full run %s)", partElapsed, fullElapsed)
+	}
+	// "Promptly": the cancellation check fires per group, subgroup, and
+	// trial, so expiry surfaces within one trial of work — far inside half
+	// the full runtime even on a loaded machine.
+	if partElapsed >= fullElapsed/2 {
+		t.Errorf("interrupted run took %s, want well under half the full run (%s)", partElapsed, fullElapsed)
+	}
+	if len(part.Words) >= len(full.Words) {
+		t.Fatalf("partial run emitted %d words, full run %d — nothing was cut short",
+			len(part.Words), len(full.Words))
+	}
+	for i, w := range part.Words {
+		fw := full.Words[i]
+		if !equalNetSlices(w.Bits, fw.Bits) || w.Verified != fw.Verified {
+			t.Fatalf("word %d diverges from the full run: %+v vs %+v", i, w, fw)
+		}
+	}
+}
+
+func equalNetSlices(a, b []netlist.NetID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -10,8 +10,8 @@ import (
 
 // ObsKeys enforces the closed observability schema: the obs package's Stage,
 // Counter, and Gauge types are uint8 enums whose members are the only valid
-// identifiers, because the BENCH_pipeline.json golden file pins the full
-// counter table. A raw integer literal materialized as one of those types
+// identifiers, because the goldens (TestTable1Goldens,
+// TestCheckNetlistsGoldens) pin counters by name. A raw integer literal materialized as one of those types
 // bypasses the enum (and its NumStages/NumCounters bounds), so it is flagged
 // everywhere outside the obs package itself.
 var ObsKeys = &anlz.Analyzer{

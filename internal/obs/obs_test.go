@@ -138,7 +138,8 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 // TestJSONDeterministic pins byte-identical rendering for equal recorders —
-// the property the committed BENCH_pipeline.json and golden diffs rely on.
+// the property the goldens (TestTable1Goldens, TestCheckNetlistsGoldens)
+// rely on.
 func TestJSONDeterministic(t *testing.T) {
 	build := func() *Recorder {
 		r := New()
@@ -181,6 +182,9 @@ func TestWriteTextAndStageLine(t *testing.T) {
 	}
 }
 
+// TestEnumNames checks that every Stage, Counter and Gauge below its Num*
+// bound has a distinct, non-empty name, and that the recorder's JSON lists
+// each enum in order.
 func TestEnumNames(t *testing.T) {
 	if StageCtrlSig.String() != "ctrlsig" || Stage(200).String() != "Stage(200)" {
 		t.Error("stage names")
@@ -190,5 +194,36 @@ func TestEnumNames(t *testing.T) {
 	}
 	if GaugeSubgroupBits.String() != "max_subgroup_bits" || Gauge(200).String() != "Gauge(200)" {
 		t.Error("gauge names")
+	}
+	raw, err := json.Marshal(New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc recorderJSON
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Stages) != int(NumStages) || len(doc.Counters) != int(NumCounters) || len(doc.Gauges) != int(NumGauges) {
+		t.Fatalf("JSON lists %d stages, %d counters, %d gauges; want %d, %d, %d",
+			len(doc.Stages), len(doc.Counters), len(doc.Gauges), NumStages, NumCounters, NumGauges)
+	}
+	seen := make(map[string]bool)
+	check := func(kind string, i int, name, rendered string) {
+		if name == "" || seen[kind+"/"+name] {
+			t.Errorf("%s %d: name %q is empty or repeated", kind, i, name)
+		}
+		seen[kind+"/"+name] = true
+		if rendered != name {
+			t.Errorf("JSON %s %d = %q, want %q (enum order)", kind, i, rendered, name)
+		}
+	}
+	for s := Stage(0); s < NumStages; s++ {
+		check("stage", int(s), s.String(), doc.Stages[s].Stage)
+	}
+	for c := Counter(0); c < NumCounters; c++ {
+		check("counter", int(c), c.String(), doc.Counters[c].Name)
+	}
+	for g := Gauge(0); g < NumGauges; g++ {
+		check("gauge", int(g), g.String(), doc.Gauges[g].Name)
 	}
 }

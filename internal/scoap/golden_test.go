@@ -49,3 +49,25 @@ func TestGoldenB14Scores(t *testing.T) {
 			buf.Len(), len(want))
 	}
 }
+
+// TestB15aConverges requires the b15-class benchmark, whose score dump is
+// too large to pin as a golden, to reach its fixed point without widening
+// any SCC.
+func TestB15aConverges(t *testing.T) {
+	p, ok := bench.ProfileByName("b15a")
+	if !ok {
+		t.Fatal("benchmark b15a not registered")
+	}
+	gen, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Compute(gen.NL, Config{})
+	if r.WidenedSCCs != 0 {
+		t.Errorf("b15a widened %d SCCs; expected clean convergence", r.WidenedSCCs)
+	}
+	if r.Iterations <= 0 {
+		t.Errorf("b15a took %d iterations, want > 0", r.Iterations)
+	}
+	t.Logf("b15a: %d iterations, %d widened SCCs", r.Iterations, r.WidenedSCCs)
+}
