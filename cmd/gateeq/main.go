@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	gateeq [-json] [-pin name=0,name=1] [-sim N] [-sat-budget N] [-restarts N] [-no-learn] [-q] a.v b.v
+//	gateeq [-json] [-pin name=0,name=1] [-sim N] [-sat-budget N] [-restarts N] [-q] a.v b.v
 //
 // One of the two files may be "-" for stdin. -pin forces nets to constants
 // in both designs before comparison (the Reduce tie-offs "$const0" and
@@ -17,9 +17,8 @@
 // simulation rounds (negative skips simulation), -sat-budget the conflict
 // cap of each SAT query (negative skips SAT, leaving undecided outputs
 // unknown), -restarts the CDCL Luby restart interval (negative disables
-// restarts); 0 keeps each default. -no-learn falls back to the legacy DPLL
-// engine, -json prints the per-output verdicts as JSON, and -q drops the
-// summary line on stderr. The exit code is the aggregate verdict:
+// restarts); 0 keeps each default. -json prints the per-output verdicts as
+// JSON, and -q drops the summary line on stderr. The exit code is the aggregate verdict:
 // 0 equivalent, 1 not equivalent, 2 unknown (budget exhausted), 3 usage or
 // input error.
 package main
@@ -48,10 +47,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	budget := fs.Int("sat-budget", 0, "conflict cap per SAT query (0 = default, negative disables SAT)")
 	simRounds := fs.Int("sim", 0, "64-lane random simulation rounds before SAT (0 = default, negative skips)")
 	restarts := fs.Int("restarts", 0, "CDCL Luby restart base interval in conflicts (0 = default, negative disables restarts)")
-	noLearn := fs.Bool("no-learn", false, "use the legacy non-learning DPLL engine instead of incremental CDCL")
 	quiet := fs.Bool("q", false, "suppress the summary line on stderr")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: gateeq [-json] [-pin name=0,name=1] [-sim N] [-sat-budget N] [-restarts N] [-no-learn] [-q] a.v b.v")
+		fmt.Fprintln(stderr, "usage: gateeq [-json] [-pin name=0,name=1] [-sim N] [-sat-budget N] [-restarts N] [-q] a.v b.v")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -84,7 +82,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		MaxConflicts: *budget,
 		SimRounds:    *simRounds,
 		Restarts:     *restarts,
-		NoLearn:      *noLearn,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "gateeq: %v\n", err)

@@ -20,10 +20,6 @@ type EquivalenceOptions struct {
 	// Restarts is the Luby restart base interval of the CDCL engine, in
 	// conflicts (0 = default; negative disables restarts).
 	Restarts int
-	// NoLearn selects the legacy non-learning DPLL engine instead of the
-	// incremental CDCL default — slower, but an independent implementation
-	// useful for cross-checking a surprising verdict.
-	NoLearn bool
 }
 
 // OutputEquivalence is the verdict for one matched observable: a primary
@@ -93,7 +89,6 @@ func CheckEquivalence(a, b *Design, pin map[string]bool, opt EquivalenceOptions)
 		MaxConflicts: opt.MaxConflicts,
 		SimRounds:    opt.SimRounds,
 		Restarts:     opt.Restarts,
-		NoLearn:      opt.NoLearn,
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,8 @@
 package eqcheck
 
 // cdcl.go implements a conflict-driven clause-learning SAT solver, the
-// default engine behind the staged equivalence pipeline. It keeps the
-// two-watched-literal propagation scheme of dpll.go and adds the four
-// classic CDCL ingredients:
+// engine behind the staged equivalence pipeline: two-watched-literal unit
+// propagation plus the four classic CDCL ingredients:
 //
 //   - first-UIP conflict analysis with non-chronological backjumping: every
 //     conflict is resolved back to the first unique implication point and the
@@ -29,6 +28,25 @@ package eqcheck
 // clause database, activities, and saved phases all carry over.
 
 import "sort"
+
+// intLit is a CNF literal: variable index shifted left with the negation bit
+// in the LSB (the same convention as aig.Lit, over CNF variables).
+type intLit = int32
+
+func posLit(v int) intLit    { return intLit(v << 1) }
+func negLit(v int) intLit    { return intLit(v<<1 | 1) }
+func litVar(l intLit) int    { return int(l >> 1) }
+func litNot(l intLit) intLit { return l ^ 1 }
+
+type clause []intLit
+
+type solveStatus uint8
+
+const (
+	statusSat solveStatus = iota
+	statusUnsat
+	statusUnknown
+)
 
 const (
 	varActDecay    = 0.95  // per-conflict variable-activity decay (varInc /= decay)

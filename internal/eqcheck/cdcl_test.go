@@ -1,10 +1,9 @@
 package eqcheck
 
 // cdcl_test.go unit-tests the CDCL engine directly at the CNF level — the
-// equivalence-pipeline tests in eqcheck_test.go cover it end to end — plus
-// the matching budget contract of the legacy DPLL engine. Pigeonhole
-// instances (PHP(n+1,n), classically UNSAT and hopeless for pure search at
-// moderate n) exercise learning, restarts, and database reduction.
+// equivalence-pipeline tests in eqcheck_test.go cover it end to end.
+// Pigeonhole instances (PHP(n+1,n), classically UNSAT and hopeless for pure
+// search at moderate n) exercise learning, restarts, and database reduction.
 
 import (
 	"testing"
@@ -39,14 +38,6 @@ func cdclFor(nVars int, cls [][]intLit, lubyBase int) *cdcl {
 	for i := 0; i < nVars; i++ {
 		s.newVar()
 	}
-	for _, c := range cls {
-		s.addClause(c...)
-	}
-	return s
-}
-
-func dpllFor(nVars int, cls [][]intLit, maxConflicts int) *dpll {
-	s := newDPLL(nVars, maxConflicts)
 	for _, c := range cls {
 		s.addClause(c...)
 	}
@@ -161,44 +152,33 @@ func TestCDCLBudgetInclusive(t *testing.T) {
 	}
 }
 
-// TestDPLLBudgetInclusive is the same budget contract on the legacy engine.
-func TestDPLLBudgetInclusive(t *testing.T) {
-	nVars, cls := pigeonholeClauses(6, 5)
-
-	s := dpllFor(nVars, cls, 0)
-	if st := s.solve(); st != statusUnknown {
-		t.Fatalf("budget 0 = %v, want unknown", st)
-	}
-	if s.stats.Conflicts != 0 {
-		t.Fatalf("budget 0 resolved %d conflicts, want 0", s.stats.Conflicts)
-	}
-
-	s = dpllFor(nVars, cls, 10)
-	if st := s.solve(); st != statusUnknown {
-		t.Fatalf("budget 10 = %v, want unknown", st)
-	}
-	if s.stats.Conflicts != 10 {
-		t.Fatalf("budget 10 resolved %d conflicts, want exactly 10", s.stats.Conflicts)
-	}
-
-	// reset is the retry-ladder primitive: same clause database, new budget.
-	s.reset(-1)
-	if st := s.solve(); st != statusUnsat {
-		t.Fatal("reset + unlimited budget failed to prove PHP(6,5)")
-	}
-}
-
-// TestCDCLAgreesWithDPLL cross-checks the engines on every pigeonhole shape
-// around the SAT/UNSAT boundary.
-func TestCDCLAgreesWithDPLL(t *testing.T) {
+// TestCDCLPigeonholeBoundary checks every pigeonhole shape around the
+// SAT/UNSAT boundary against its closed form: PHP(p,h) is satisfiable iff
+// p <= h, and a satisfying model must make every clause true.
+func TestCDCLPigeonholeBoundary(t *testing.T) {
 	for holes := 1; holes <= 4; holes++ {
 		for pigeons := holes; pigeons <= holes+1; pigeons++ {
 			nVars, cls := pigeonholeClauses(pigeons, holes)
-			c := cdclFor(nVars, cls, 4)
-			d := dpllFor(nVars, cls, -1)
-			got, want := c.solveUnder(nil, -1), d.solve()
-			if got != want {
-				t.Errorf("PHP(%d,%d): cdcl=%v dpll=%v", pigeons, holes, got, want)
+			s := cdclFor(nVars, cls, 4)
+			want := statusUnsat
+			if pigeons <= holes {
+				want = statusSat
+			}
+			if got := s.solveUnder(nil, -1); got != want {
+				t.Errorf("PHP(%d,%d) = %v, want %v", pigeons, holes, got, want)
+				continue
+			}
+			if want != statusSat {
+				continue
+			}
+			for _, c := range cls {
+				sat := false
+				for _, l := range c {
+					sat = sat || s.modelValue(litVar(l)) == (l&1 == 0)
+				}
+				if !sat {
+					t.Errorf("PHP(%d,%d): model violates clause %v", pigeons, holes, c)
+				}
 			}
 		}
 	}

@@ -1,23 +1,14 @@
 package eqcheck
 
-// cnf.go: Tseitin encoding of AIG cones into the SAT engines. Only the
-// transitive fanin cone of the query literals is encoded — the surrounding
-// shared AIG (which may hold many unrelated cones) costs nothing. Each AND
-// node v = a ∧ b becomes the three clauses (¬v∨a), (¬v∨b), (v∨¬a∨¬b); the
-// constant node, when reachable, gets a unit clause forcing it false; input
-// nodes stay free.
-//
-// Two encoders share the clause shape:
-//
-//   - encoder feeds the incremental CDCL solver: cones are encoded on
-//     demand and never twice, so a warm Solver that has proved one root pays
-//     only the structural delta for the next, and queries are asserted as
-//     assumptions instead of unit clauses (the clause database stays valid
-//     across queries).
-//   - tseitinAll builds a fresh DPLL instance per query for the -no-learn
-//     escape hatch, asserting every goal literal as a unit clause. The
-//     encoding is budget-independent, so retry-ladder escalations reuse it
-//     via dpll.reset instead of re-encoding.
+// cnf.go: incremental Tseitin encoding of AIG cones into the CDCL solver.
+// Only the transitive fanin cone of the query literals is encoded — the
+// surrounding shared AIG (which may hold many unrelated cones) costs
+// nothing. Each AND node v = a ∧ b becomes the three clauses (¬v∨a), (¬v∨b),
+// (v∨¬a∨¬b); the constant node, when reachable, gets a unit clause forcing
+// it false; input nodes stay free. Cones are encoded on demand and never
+// twice, so a warm Solver that has proved one root pays only the structural
+// delta for the next, and queries are asserted as assumptions instead of
+// unit clauses (the clause database stays valid across queries).
 
 import "gatewords/internal/aig"
 
@@ -75,40 +66,4 @@ func (e *encoder) ensure(roots ...aig.Lit) bool {
 		}
 	}
 	return true
-}
-
-// tseitinAll encodes the union of the goals' fanin cones into a fresh DPLL
-// solver and asserts every goal literal true (a query "goal[0] under
-// assumptions goal[1:]" is one conjunction here — the legacy engine has no
-// assumption interface). It returns the solver and the AIG-node →
-// CNF-variable mapping used to read input values back out of a model.
-func tseitinAll(g *aig.AIG, goals []aig.Lit, maxConflicts int) (*dpll, map[int]int) {
-	cone := g.ConeNodes(goals...)
-	varOf := make(map[int]int, len(cone))
-	for i, n := range cone {
-		varOf[n] = i
-	}
-	s := newDPLL(len(cone), maxConflicts)
-	cnfLit := func(l aig.Lit) intLit {
-		v := varOf[l.Node()]
-		if l.Negated() {
-			return negLit(v)
-		}
-		return posLit(v)
-	}
-	for _, n := range cone {
-		if f0, f1, ok := g.IsAnd(n); ok {
-			v := posLit(varOf[n])
-			a, b := cnfLit(f0), cnfLit(f1)
-			s.addClause(litNot(v), a)
-			s.addClause(litNot(v), b)
-			s.addClause(v, litNot(a), litNot(b))
-		} else if n == 0 {
-			s.addClause(negLit(varOf[n]))
-		}
-	}
-	for _, l := range goals {
-		s.addClause(cnfLit(l))
-	}
-	return s, varOf
 }

@@ -24,7 +24,7 @@
 // carry over — which is what makes re-proving many near-identical cones
 // (reduce.VerifyCones) and re-proving one cone under many control
 // assignments cheap. The package-level functions run the same pipeline on a
-// transient solver. Options.NoLearn selects the legacy DPLL engine instead.
+// transient solver.
 //
 // Per-query work is bounded by the query's cone, not by the shared AIG: the
 // encoder walks only the unencoded part of a cone, and counterexample
@@ -101,9 +101,9 @@ type Options struct {
 	// RetryUnknown is the depth of the escalating-retry ladder: a SAT stage
 	// that exhausts its conflict budget (Unknown) is rerun up to RetryUnknown
 	// more times with the budget doubled each attempt, capped at
-	// RetryConflictCap. On the default CDCL engine a retry is a warm
-	// re-search — the clause database, learned clauses, and branching
-	// activities carry over, so escalation costs only the additional search.
+	// RetryConflictCap. A retry is a warm re-search — the clause database,
+	// learned clauses, and branching activities carry over, so escalation
+	// costs only the additional search.
 	// Each escalation is preceded by a fresh-seeded simulation chunk (the
 	// deterministic sim/SAT portfolio), which can short-circuit a refutation
 	// the SAT search is struggling toward. 0 disables retries; retries never
@@ -117,13 +117,6 @@ type Options struct {
 	// Restarts is the Luby restart base interval of the CDCL engine, in
 	// conflicts. 0 means DefaultRestartBase; negative disables restarts.
 	Restarts int
-	// NoLearn selects the legacy DPLL engine (no clause learning, no
-	// assumption interface — every query re-encodes its cone from scratch,
-	// though retry-ladder escalations still reuse the encoding). It is the
-	// escape hatch behind `gateeq -no-learn`, and the independent oracle the
-	// fuzzer cross-checks the CDCL engine against. Verdicts are engine-
-	// independent; only the work to reach them differs.
-	NoLearn bool
 	// Observer, when non-nil, accumulates each query's work — simulation
 	// rounds and the SAT budget actually consumed (decisions, propagations,
 	// conflicts, learned clauses, restarts, assumption solves) — into the
@@ -211,7 +204,7 @@ type Stats struct {
 	// has already encoded the cone reports 0.
 	Encodings int `json:"encodings"`
 	// LearnedClauses counts clauses the CDCL engine learned from conflicts
-	// during this query (0 on the DPLL engine).
+	// during this query.
 	LearnedClauses int `json:"learned_clauses"`
 	// Restarts counts CDCL Luby restarts taken during this query.
 	Restarts int `json:"restarts"`
@@ -332,11 +325,11 @@ func NewSolver(g *aig.AIG, opt Options) *Solver {
 func (s *Solver) Solve(l aig.Lit) SolveResult { return s.SolveUnder(l, nil) }
 
 // SolveUnder decides satisfiability of l with every assumption literal held
-// true. On the default engine the assumptions are passed to the CDCL solver
-// as solver assumptions — nothing is re-encoded between calls that share
-// cones, so sweeping one cone under many control assignments is the cheap
-// path this solver is built for. Unsat means no model exists under these
-// assumptions. Each query's stage work reports into Options.Observer.
+// true. The assumptions are passed to the CDCL solver as solver assumptions —
+// nothing is re-encoded between calls that share cones, so sweeping one cone
+// under many control assignments is the cheap path this solver is built for.
+// Unsat means no model exists under these assumptions. Each query's stage
+// work reports into Options.Observer.
 func (s *Solver) SolveUnder(l aig.Lit, assumps []aig.Lit) SolveResult {
 	sr := s.solveUnder(l, assumps)
 	reportSolve(s.opt.Observer, sr.Stats)
@@ -380,9 +373,6 @@ func (s *Solver) finish(q simQuery) SolveResult {
 	}
 	if !s.opt.satEnabled() {
 		return SolveResult{Status: SolveUnknown, Stage: "sim", Stats: st}
-	}
-	if s.opt.NoLearn {
-		return s.solveDPLL(q.goals, st)
 	}
 	return s.solveCDCL(q.goals, st)
 }
@@ -530,49 +520,6 @@ func (s *Solver) portfolioSim(goals []aig.Lit, attempt int, st *Stats) (SolveRes
 	return SolveResult{Status: Sat, Model: q[0].model, Stage: "sim", Stats: *st}, true
 }
 
-// solveDPLL runs the SAT ladder on the legacy engine: the goal cones are
-// encoded into a fresh DPLL instance (goals asserted as unit clauses), and a
-// retry resets the same instance with a doubled budget — the encoding is
-// never rebuilt.
-func (s *Solver) solveDPLL(goals []aig.Lit, st Stats) SolveResult {
-	budget := s.opt.maxConflicts()
-	d, varOf := tseitinAll(s.g, goals, budget)
-	st.Encodings++
-	st.Vars = d.nVars
-	st.Clauses = len(d.clauses) + len(d.units)
-	for attempt := 0; ; attempt++ {
-		status := d.solve()
-		st.Decisions += d.stats.Decisions
-		st.Propagations += d.stats.Propagations
-		st.Conflicts += d.stats.Conflicts
-		switch status {
-		case statusUnsat:
-			return SolveResult{Status: Unsat, Stage: "sat", Stats: st}
-		case statusUnknown:
-			next, ok := s.nextBudget(budget, attempt)
-			if !ok {
-				return SolveResult{Status: SolveUnknown, Stage: "sat", Stats: st}
-			}
-			if s.opt.cancelled() {
-				return SolveResult{Status: SolveUnknown, Stage: "cancelled", Stats: st}
-			}
-			st.Retries++
-			budget = next
-			if res, hit := s.portfolioSim(goals, attempt, &st); hit {
-				return res
-			}
-			d.reset(budget)
-			continue
-		}
-		model, ok := s.modelFromDPLL(d, varOf, goals)
-		if !ok {
-			st.ModelsRejected++
-			return SolveResult{Status: SolveUnknown, Stage: "sat", Stats: st}
-		}
-		return SolveResult{Status: Sat, Model: model, Stage: "sat", Stats: st}
-	}
-}
-
 // modelFromWords extracts the assignment of lane from the simulated words,
 // restricted to the goals' support.
 func modelFromWords(g *aig.AIG, goals []aig.Lit, words []uint64, lane uint) map[string]bool {
@@ -598,30 +545,6 @@ func (s *Solver) modelFromCDCL(goals []aig.Lit) (map[string]bool, bool) {
 				continue // outside the encoded cone: value is irrelevant
 			}
 			b := s.sat.modelValue(v)
-			model[s.g.InputName(i)] = b
-			assign[i] = b
-		}
-	}
-	for _, gl := range goals {
-		if !s.g.EvalBool(assign, gl) {
-			return nil, false
-		}
-	}
-	return model, true
-}
-
-// modelFromDPLL is modelFromCDCL for the legacy engine.
-func (s *Solver) modelFromDPLL(d *dpll, varOf map[int]int, goals []aig.Lit) (map[string]bool, bool) {
-	model := make(map[string]bool)
-	assign := make([]bool, s.g.NumInputs())
-	for _, gl := range goals {
-		for _, i := range s.g.Support(gl) {
-			n := s.g.InputLit(i).Node()
-			v, ok := varOf[n]
-			if !ok {
-				continue
-			}
-			b := d.modelValue(v)
 			model[s.g.InputName(i)] = b
 			assign[i] = b
 		}

@@ -95,8 +95,8 @@ func inputIndexOf(t *testing.T, g *aig.AIG, l aig.Lit) int {
 }
 
 // TestCheckLitsUnknownOnBudget miters two association orders of a wide XOR:
-// equivalent (so simulation never refutes) but hard for a DPLL without
-// learning, so a tiny conflict budget must yield Unknown.
+// equivalent (so simulation never refutes) but hard for the SAT search, so
+// a tiny conflict budget must yield Unknown.
 func TestCheckLitsUnknownOnBudget(t *testing.T) {
 	g := aig.New()
 	const n = 10

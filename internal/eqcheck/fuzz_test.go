@@ -2,7 +2,9 @@ package eqcheck_test
 
 import (
 	"bytes"
+	"math/bits"
 	"reflect"
+	"sort"
 	"testing"
 
 	"gatewords/internal/aig"
@@ -10,6 +12,7 @@ import (
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
 	"gatewords/internal/obs"
+	"gatewords/internal/sim"
 )
 
 // byteSource deals bytes from the fuzz input, repeating 0 when exhausted.
@@ -137,14 +140,99 @@ func perOutputChecks(t *testing.T, na, nb *netlist.Netlist, opt eqcheck.Options)
 	return out
 }
 
+// maxEnumerated is the most free inputs distinguishable enumerates: 2^14
+// assignments per side, one input flip each.
+const maxEnumerated = 14
+
+// distinguishable is the ground-truth oracle for a netlist pair. It drives
+// one reference simulator per side through every assignment of the pair's
+// free inputs (primary inputs and flip-flop states, matched by net name) in
+// Gray-code order, and reports each shared observable that some assignment
+// makes the sides disagree on. It evaluates the netlists directly, sharing
+// no code with the AIG lowering, the CNF encoding or the SAT solver. ok is
+// false when the pair has more than maxEnumerated free inputs.
+func distinguishable(t *testing.T, na, nb *netlist.Netlist) (diff map[string]bool, ok bool) {
+	t.Helper()
+	type side struct {
+		s   *sim.Simulator
+		set map[string]func(logic.Value) // free input name -> driver
+		obs map[string]netlist.NetID     // observable name -> net read
+	}
+	var names []string
+	seen := make(map[string]bool)
+	sides := make([]side, 2)
+	for k, nl := range []*netlist.Netlist{na, nb} {
+		s, err := sim.New(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd := side{s: s, set: make(map[string]func(logic.Value)), obs: make(map[string]netlist.NetID)}
+		for _, pi := range nl.PIs() {
+			sd.set[nl.NetName(pi)] = func(v logic.Value) { _ = s.SetInput(pi, v) } // pi is a PI
+		}
+		for i, gid := range nl.DFFs() {
+			g := nl.Gate(gid)
+			sd.set[nl.NetName(g.Output)] = func(v logic.Value) { s.SetState(i, v) }
+			sd.obs[aig.FFPrefix+g.Name] = g.Inputs[0]
+		}
+		for _, po := range nl.POs() {
+			sd.obs[nl.NetName(po)] = po
+		}
+		for name := range sd.set {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+		sides[k] = sd
+	}
+	if len(names) > maxEnumerated {
+		return nil, false
+	}
+	sort.Strings(names)
+	var shared []string
+	for name := range sides[0].obs {
+		if _, ok := sides[1].obs[name]; ok {
+			shared = append(shared, name)
+		}
+	}
+	vals := make([]bool, len(names))
+	apply := func(i int) {
+		for _, sd := range sides {
+			if set, ok := sd.set[names[i]]; ok {
+				set(logic.FromBool(vals[i]))
+			}
+		}
+	}
+	for i := range names {
+		apply(i)
+	}
+	diff = make(map[string]bool)
+	for step := 1; ; step++ {
+		sides[0].s.Settle()
+		sides[1].s.Settle()
+		for _, name := range shared {
+			if sides[0].s.Value(sides[0].obs[name]) != sides[1].s.Value(sides[1].obs[name]) {
+				diff[name] = true
+			}
+		}
+		if step == 1<<len(names) {
+			return diff, true
+		}
+		i := bits.TrailingZeros(uint(step))
+		vals[i] = !vals[i]
+		apply(i)
+	}
+}
+
 // FuzzEqcheck feeds random netlist pairs (a generated netlist against a
 // possibly-mutated clone) through CheckNetlists and checks the checker's own
 // contract: no panics, verdicts stable across a repeated run, output for
 // output the same results and obs counters as the per-output path, an
 // unmutated clone always proved equivalent, every refutation's
-// counterexample replayable on the reference simulator, and the default
-// CDCL engine agreeing with the independent legacy DPLL engine on every
-// decided verdict.
+// counterexample replayable on the reference simulator, and, for pairs of at
+// most maxEnumerated free inputs, every decided verdict matching exhaustive
+// simulation.
 func FuzzEqcheck(f *testing.F) {
 	f.Add([]byte{3, 7, 1, 4, 1, 5, 9, 2, 6})
 	f.Add([]byte{0})
@@ -187,21 +275,16 @@ func FuzzEqcheck(f *testing.F) {
 		if !mutated && res1.Verdict() != eqcheck.Equivalent {
 			t.Fatalf("identical clone not proved equivalent: %+v", res1.Outputs)
 		}
-		// Cross-check the engines: the non-learning DPLL is an independent
-		// implementation, so any decided disagreement is a solver bug. An
-		// Unknown on either side is legitimate (the engines spend the budget
-		// differently) and exempt.
-		optDPLL := opt
-		optDPLL.NoLearn = true
-		res3, err := eqcheck.CheckNetlists(na, nb, nil, optDPLL)
-		if err != nil {
-			t.Fatalf("CheckNetlists (no-learn): %v", err)
-		}
-		for i := range res1.Outputs {
-			v1, v3 := res1.Outputs[i].Result.Verdict, res3.Outputs[i].Result.Verdict
-			if v1 != v3 && v1 != eqcheck.Unknown && v3 != eqcheck.Unknown {
-				t.Fatalf("engines disagree on %q: cdcl=%v dpll=%v",
-					res1.Outputs[i].Name, v1, v3)
+		// Ground truth: an equivalence proof must leave no distinguishing
+		// assignment, and a refutation must have one. Unknown is exempt.
+		if diff, ok := distinguishable(t, na, nb); ok {
+			for _, oc := range res1.Outputs {
+				switch {
+				case oc.Result.Verdict == eqcheck.Equivalent && diff[oc.Name]:
+					t.Fatalf("%q proved equivalent, but an assignment distinguishes the sides", oc.Name)
+				case oc.Result.Verdict == eqcheck.NotEquivalent && !diff[oc.Name]:
+					t.Fatalf("%q refuted, but no assignment distinguishes the sides", oc.Name)
+				}
 			}
 		}
 		for _, oc := range res1.Outputs {

@@ -42,8 +42,8 @@ type checkGolden struct {
 }
 
 // goldenOptionSets are the option sets every golden pair runs under: the
-// defaults, each stage switched off or starved in turn, a budget small
-// enough to climb the retry ladder, and the legacy engine.
+// defaults, each stage switched off or starved in turn, and a budget small
+// enough to climb the retry ladder.
 var goldenOptionSets = []struct {
 	name string
 	opt  eqcheck.Options
@@ -52,7 +52,6 @@ var goldenOptionSets = []struct {
 	{"nosim", eqcheck.Options{SimRounds: -1}},
 	{"sim2", eqcheck.Options{SimRounds: 2}},
 	{"budget3-retry2", eqcheck.Options{MaxConflicts: 3, RetryUnknown: 2}},
-	{"nolearn", eqcheck.Options{NoLearn: true}},
 	{"nosat", eqcheck.Options{MaxConflicts: -1}},
 }
 

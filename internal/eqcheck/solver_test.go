@@ -20,50 +20,39 @@ import (
 // TestEncodeOnceAcrossRetries is the regression test for the retry-ladder
 // waste bug: escalating the conflict budget used to rebuild the Tseitin
 // encoding per attempt. Now the ladder re-searches the same instance — the
-// query must report escalations but exactly one encoding pass, on both
-// engines.
+// query must report escalations but exactly one encoding pass.
 func TestEncodeOnceAcrossRetries(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		noLearn bool
-	}{{"cdcl", false}, {"dpll", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, left, right := wideXorMiter()
-			opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5, RetryUnknown: 20, NoLearn: tc.noLearn}
-			r := eqcheck.CheckLits(g, left, right, opt)
-			if r.Verdict != eqcheck.Equivalent {
-				t.Fatalf("ladder did not finish the proof: %+v", r)
-			}
-			if r.Stats.Retries < 1 {
-				t.Fatalf("Retries = %d, want >= 1 (budget 5 must not suffice)", r.Stats.Retries)
-			}
-			if r.Stats.Encodings != 1 {
-				t.Fatalf("Encodings = %d across %d retries, want exactly 1", r.Stats.Encodings, r.Stats.Retries)
-			}
-		})
-	}
+	t.Run("cdcl", func(t *testing.T) {
+		g, left, right := wideXorMiter()
+		opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5, RetryUnknown: 20}
+		r := eqcheck.CheckLits(g, left, right, opt)
+		if r.Verdict != eqcheck.Equivalent {
+			t.Fatalf("ladder did not finish the proof: %+v", r)
+		}
+		if r.Stats.Retries < 1 {
+			t.Fatalf("Retries = %d, want >= 1 (budget 5 must not suffice)", r.Stats.Retries)
+		}
+		if r.Stats.Encodings != 1 {
+			t.Fatalf("Encodings = %d across %d retries, want exactly 1", r.Stats.Encodings, r.Stats.Retries)
+		}
+	})
 }
 
 // TestBudgetInclusiveThroughOptions checks the exported face of the
 // off-by-one fix: an undecided query consumed its budget exactly — not
 // budget+1 conflicts as before.
 func TestBudgetInclusiveThroughOptions(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		noLearn bool
-	}{{"cdcl", false}, {"dpll", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, left, right := wideXorMiter()
-			opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5, NoLearn: tc.noLearn}
-			r := eqcheck.CheckLits(g, left, right, opt)
-			if r.Verdict != eqcheck.Unknown {
-				t.Fatalf("budget 5 decided the wide-XOR miter: %+v", r)
-			}
-			if r.Stats.Conflicts != 5 {
-				t.Fatalf("Conflicts = %d under budget 5, want exactly 5", r.Stats.Conflicts)
-			}
-		})
-	}
+	t.Run("cdcl", func(t *testing.T) {
+		g, left, right := wideXorMiter()
+		opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5}
+		r := eqcheck.CheckLits(g, left, right, opt)
+		if r.Verdict != eqcheck.Unknown {
+			t.Fatalf("budget 5 decided the wide-XOR miter: %+v", r)
+		}
+		if r.Stats.Conflicts != 5 {
+			t.Fatalf("Conflicts = %d under budget 5, want exactly 5", r.Stats.Conflicts)
+		}
+	})
 }
 
 // TestSolveUnderMatchesFreshSolvers sweeps one cone under every control
@@ -164,24 +153,19 @@ func TestCheckLitsUnderControl(t *testing.T) {
 // cancelled context stops the retry ladder before the first escalation, with
 // the dedicated "cancelled" stage and no retries charged.
 func TestCancelledBetweenRetries(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		noLearn bool
-	}{{"cdcl", false}, {"dpll", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, left, right := wideXorMiter()
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5, RetryUnknown: 20, Context: ctx, NoLearn: tc.noLearn}
-			r := eqcheck.CheckLits(g, left, right, opt)
-			if r.Verdict != eqcheck.Unknown || r.Stage != "cancelled" {
-				t.Fatalf("verdict=%v stage=%q, want unknown/cancelled", r.Verdict, r.Stage)
-			}
-			if r.Stats.Retries != 0 {
-				t.Fatalf("Retries = %d after cancellation, want 0", r.Stats.Retries)
-			}
-		})
-	}
+	t.Run("cdcl", func(t *testing.T) {
+		g, left, right := wideXorMiter()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5, RetryUnknown: 20, Context: ctx}
+		r := eqcheck.CheckLits(g, left, right, opt)
+		if r.Verdict != eqcheck.Unknown || r.Stage != "cancelled" {
+			t.Fatalf("verdict=%v stage=%q, want unknown/cancelled", r.Verdict, r.Stage)
+		}
+		if r.Stats.Retries != 0 {
+			t.Fatalf("Retries = %d after cancellation, want 0", r.Stats.Retries)
+		}
+	})
 }
 
 // TestWarmSolverSecondQueryFree re-proves an already-encoded miter: the warm

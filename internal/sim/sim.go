@@ -1,10 +1,16 @@
 // Package sim is a levelized event-driven three-valued logic simulator for
-// the gatewords netlist model. It exists to validate the structural
-// machinery: circuit reduction must preserve the function of the surviving
-// logic under the chosen control-signal assignment, and the synthetic
-// benchmark generator's netlists must implement their RTL intent. It is
-// also a realistic substrate in its own right (X-pessimistic evaluation,
-// sequential stepping).
+// the gatewords netlist model (X-pessimistic evaluation, sequential
+// stepping). It is a test oracle: no production code imports it, and it
+// evaluates netlists directly, sharing no code with the AIG lowering of
+// internal/aig or the CNF encoding and SAT solver of internal/eqcheck. Its
+// own tests use Compare to check that reductions preserve the surviving
+// logic, and three other packages' tests use it as an independent
+// reference:
+//
+//   - synth tests check that synthesized netlists implement their RTL intent;
+//   - eqcheck tests replay every counterexample CheckNetlists reports;
+//   - FuzzEqcheck enumerates every assignment of small netlist pairs and
+//     checks each decided equivalence verdict against the simulated outputs.
 package sim
 
 import (
