@@ -311,20 +311,6 @@ func (o *Observer) absorb(r *obs.Recorder) {
 	o.rec.Merge(r)
 }
 
-// AddCounter accumulates n into counter c under the Observer's lock. The
-// pipeline records counters through private per-run recorders, but the
-// serving layer (internal/service) also attributes service-level events —
-// shed jobs, quarantine trips, journal replays — to the same closed counter
-// schema, so one /metrics document carries both. Safe on a nil Observer.
-func (o *Observer) AddCounter(c obs.Counter, n int64) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.rec.Add(c, n)
-}
-
 // snapshot returns a private copy of the current state (nil on a nil
 // Observer, which every obs.Recorder method accepts).
 func (o *Observer) snapshot() *obs.Recorder {

@@ -121,20 +121,6 @@ const (
 	// against the AIG — each one is a solver bug surfaced instead of a
 	// silently degraded Unknown.
 	CtrSATModelsRejected
-	// CtrJobsShed counts service submissions refused by admission control
-	// (deadline infeasible or load shedding), as opposed to queue-full
-	// rejections. Shed jobs never executed; the counter is the price the
-	// daemon paid to stay inside its latency contract.
-	CtrJobsShed
-	// CtrQuarantineTrips counts circuit-breaker trips: a netlist fingerprint
-	// crossing the consecutive-failure threshold and entering quarantine.
-	CtrQuarantineTrips
-	// CtrJournalReplays counts jobs restored from the durable job journal at
-	// daemon startup (terminal jobs re-served plus queued jobs re-enqueued).
-	CtrJournalReplays
-	// CtrJournalTornRecords counts torn or corrupt journal tails detected and
-	// discarded during replay — a crash mid-append, never silently replayed.
-	CtrJournalTornRecords
 
 	NumCounters
 )
@@ -145,8 +131,7 @@ var counterNames = [NumCounters]string{
 	"sat_retries", "panics_recovered", "degraded_subgroups",
 	"scoap_iterations", "scoap_widened_sccs", "triage_suspects",
 	"sat_learned_clauses", "sat_restarts", "sat_assumption_solves",
-	"sat_models_rejected", "jobs_shed", "quarantine_trips",
-	"journal_replays", "journal_torn_records",
+	"sat_models_rejected",
 }
 
 // String names the counter.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gatewords"
-	"gatewords/internal/obs"
 	"gatewords/internal/service/journal"
 )
 
@@ -232,11 +231,8 @@ func (s *Server) replayJournal(records []journal.Record, torn int) {
 		}
 	}
 	s.recovery = rep
-	replays := int64(rep.Restored + rep.Resumed)
-	s.counters.JournalReplays = replays
+	s.counters.JournalReplays = int64(rep.Restored + rep.Resumed)
 	s.counters.JournalTornRecords = int64(torn)
-	s.observer.AddCounter(obs.CtrJournalReplays, replays)
-	s.observer.AddCounter(obs.CtrJournalTornRecords, int64(torn))
 }
 
 // resolveReport finds a done job's report bytes: inline for primaries, via

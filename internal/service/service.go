@@ -32,7 +32,6 @@ import (
 
 	"gatewords"
 	"gatewords/internal/guard"
-	"gatewords/internal/obs"
 	"gatewords/internal/service/journal"
 )
 
@@ -507,7 +506,6 @@ func (s *Server) SubmitSource(d *gatewords.Design, opts JobOptions, src Source) 
 	if se := s.admitLocked(job, gates); se != nil {
 		s.seq--
 		s.counters.JobsShed++
-		s.observer.AddCounter(obs.CtrJobsShed, 1)
 		return nil, se
 	}
 	// First sighting of this key: a real execution. Admission and the
@@ -584,7 +582,6 @@ func (s *Server) failJobAfterPanic(job *Job, f *guard.GroupFailure) {
 	msg := fmt.Sprintf("worker panicked at stage %q: %s", f.Stage, f.Message)
 	if s.breaker.strike(job.Fingerprint, msg) {
 		s.counters.QuarantineTrips++
-		s.observer.AddCounter(obs.CtrQuarantineTrips, 1)
 	}
 	terminalize := func(j *Job) {
 		if j.State == StateDone || j.State == StateFailed {
@@ -645,7 +642,6 @@ func (s *Server) runJob(job *Job) {
 		}
 		if s.breaker.strike(job.Fingerprint, msg) {
 			s.counters.QuarantineTrips++
-			s.observer.AddCounter(obs.CtrQuarantineTrips, 1)
 		}
 	} else {
 		s.breaker.succeed(job.Fingerprint)
