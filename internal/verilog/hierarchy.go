@@ -16,6 +16,7 @@ import (
 type Library struct {
 	srcs  map[string]string   // module name -> source slice
 	ports map[string][]string // module name -> header port order
+	sizes map[string]int      // module name -> flatSize bound
 	flat  map[string]*netlist.Netlist
 	order []string // definition order, for Modules()
 	file  string
@@ -29,6 +30,7 @@ func ParseHierarchy(lib *Library, file, src string) (*Library, error) {
 		lib = &Library{
 			srcs:  map[string]string{},
 			ports: map[string][]string{},
+			sizes: map[string]int{},
 			flat:  map[string]*netlist.Netlist{},
 		}
 	}
@@ -150,18 +152,72 @@ func (lib *Library) Top() (string, error) {
 	return tops[0], nil
 }
 
+// maxFlatSize caps the nets plus gates of a flattened module. A module that
+// instantiates the one before it twice doubles the flattened netlist per
+// level, so a few kilobytes of source can ask for billions of gates. The cap
+// is about five times b18a flat (101,302 gates plus 114,589 nets).
+const maxFlatSize = 1 << 20
+
 // Elaborate flattens the named module: every instance of another library
 // module is inlined recursively, inner nets and gates renamed to
 // "<instance>/<name>". The result validates and contains only library
-// cells.
+// cells. A module whose flattened nets plus gates would exceed maxFlatSize
+// is refused before anything is spliced.
 func (lib *Library) Elaborate(top string) (*netlist.Netlist, error) {
+	if _, err := lib.flatSize(top, map[string]bool{}); err != nil {
+		return nil, err
+	}
 	return lib.elaborate(top, map[string]bool{})
+}
+
+// flatSize bounds the nets plus gates of the flattened module from above:
+// its own nets and gates plus the bound of each module it instantiates (a
+// port net bound to the parent counts on both sides). Each module is parsed
+// once with its instances counted instead of spliced, and the bound is
+// memoized, so the pass costs about one parse of the source however large
+// the flattened netlist would be. It fails once the bound passes
+// maxFlatSize.
+func (lib *Library) flatSize(name string, inProgress map[string]bool) (int, error) {
+	if n, ok := lib.sizes[name]; ok {
+		return n, nil
+	}
+	size := 0
+	nl, err := lib.parse(name, inProgress, func(cell string) (*netlist.Netlist, error) {
+		n, err := lib.flatSize(cell, inProgress)
+		size = min(size+n, maxFlatSize+1) // saturate: instances may repeat
+		return nil, err                   // nil: count the instance, splice nothing
+	})
+	if err != nil {
+		return 0, err
+	}
+	if size += nl.NetCount() + nl.GateCount(); size > maxFlatSize {
+		return 0, fmt.Errorf("verilog: module %q flattens to more than %d nets plus gates", name, maxFlatSize)
+	}
+	lib.sizes[name] = size
+	return size, nil
 }
 
 func (lib *Library) elaborate(name string, inProgress map[string]bool) (*netlist.Netlist, error) {
 	if nl, ok := lib.flat[name]; ok {
 		return nl, nil
 	}
+	nl, err := lib.parse(name, inProgress, func(cell string) (*netlist.Netlist, error) {
+		return lib.elaborate(cell, inProgress)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := nl.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: module %s: %w", lib.file, name, err)
+	}
+	lib.flat[name] = nl
+	return nl, nil
+}
+
+// parse parses the named module, handing each instance of another
+// library module to resolve: a netlist it returns is spliced in, and a nil
+// netlist leaves the instance's connections parsed but nothing spliced.
+func (lib *Library) parse(name string, inProgress map[string]bool, resolve func(cell string) (*netlist.Netlist, error)) (*netlist.Netlist, error) {
 	src, ok := lib.srcs[name]
 	if !ok {
 		return nil, fmt.Errorf("verilog: no module %q in library", name)
@@ -177,7 +233,7 @@ func (lib *Library) elaborate(name string, inProgress map[string]bool) (*netlist
 		if _, isMod := lib.srcs[cell]; !isMod {
 			return nil, nil, false
 		}
-		sub, err := lib.elaborate(cell, inProgress)
+		sub, err := resolve(cell)
 		if err != nil {
 			p.resolveErr = err
 			return nil, nil, false
@@ -194,10 +250,6 @@ func (lib *Library) elaborate(name string, inProgress map[string]bool) (*netlist
 		}
 		return nil, err
 	}
-	if err := nl.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: module %s: %w", lib.file, name, err)
-	}
-	lib.flat[name] = nl
 	return nl, nil
 }
 

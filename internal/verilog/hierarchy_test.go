@@ -1,6 +1,8 @@
 package verilog
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -206,3 +208,29 @@ func TestParseHierarchyAccumulates(t *testing.T) {
 }
 
 func int32g(i int) netlist.GateID { return netlist.GateID(i) }
+
+// TestElaborateRefusesDoublingHierarchy elaborates 40 levels that each
+// instantiate the level below twice, which would flatten to 2^40 gates. It
+// must be refused with an error naming the limit, before anything is
+// spliced.
+func TestElaborateRefusesDoublingHierarchy(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("module m0 (a, y); input a; output y; NOT g (y, a); endmodule\n")
+	for i := 1; i <= 40; i++ {
+		fmt.Fprintf(&src, "module m%d (a, y); input a; output y; wire t; m%d u0 (a, t); m%d u1 (t, y); endmodule\n", i, i-1, i-1)
+	}
+	lib, err := ParseHierarchy(nil, "deep.v", src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = lib.Elaborate("m40")
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxFlatSize)) {
+		t.Fatalf("Elaborate = %v, want an error naming the limit %d", err, maxFlatSize)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 10<<20 {
+		t.Errorf("refusal allocated %d bytes, want under 10 MB", alloc)
+	}
+}

@@ -70,7 +70,8 @@ type parser struct {
 	lenient bool
 
 	// resolveModule, when set (hierarchy elaboration), maps an unknown cell
-	// name to an elaborated sub-module netlist and its header port order.
+	// name to an elaborated sub-module netlist and its header port order. A
+	// nil netlist for a module cell parses the instance without splicing it.
 	resolveModule func(cell string) (*netlist.Netlist, []string, bool)
 	resolveErr    error
 
@@ -820,6 +821,9 @@ func (p *parser) parseSubmoduleInstance(cell string, sub *netlist.Netlist, portO
 	}
 	if _, err := p.expect(tokSemi); err != nil {
 		return err
+	}
+	if sub == nil {
+		return nil // the caller only counts this instance
 	}
 	// Resolve port names to the child's net names; vector ports are not
 	// supported for hierarchical instances.
