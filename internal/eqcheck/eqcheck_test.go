@@ -302,37 +302,50 @@ func TestCheckNetlistsNoSharedObservables(t *testing.T) {
 	}
 }
 
-// simulate drives nl's frame inputs (primary inputs and flip-flop states)
-// from assign, settles, and returns the values of all primary outputs and
-// flip-flop D inputs by observable name. Unlisted inputs default to 0 — the
-// same completion eqcheck uses for inputs outside a counterexample's support.
-func simulate(t *testing.T, nl *netlist.Netlist, assign map[string]bool) map[string]logic.Value {
+// refSim drives one netlist on the reference simulator by the names
+// CheckNetlists uses: free inputs are primary inputs and flip-flop states by
+// net name, and observables are primary outputs by net name and next-state
+// functions by aig.FFPrefix + gate name, read at the flip-flop's D input.
+type refSim struct {
+	s   *sim.Simulator
+	set map[string]func(logic.Value) // free input name -> setter
+	obs map[string]netlist.NetID     // observable name -> net read
+}
+
+func newRefSim(t *testing.T, nl *netlist.Netlist) *refSim {
 	t.Helper()
 	s, err := sim.New(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	val := func(name string) logic.Value {
-		if assign[name] {
-			return logic.One
-		}
-		return logic.Zero
-	}
+	r := &refSim{s: s, set: make(map[string]func(logic.Value)), obs: make(map[string]netlist.NetID)}
 	for _, pi := range nl.PIs() {
-		if err := s.SetInput(pi, val(nl.NetName(pi))); err != nil {
-			t.Fatal(err)
-		}
+		r.set[nl.NetName(pi)] = func(v logic.Value) { _ = s.SetInput(pi, v) } // pi is a PI: no error
 	}
 	for i, gid := range nl.DFFs() {
-		s.SetState(i, val(nl.NetName(nl.Gate(gid).Output)))
+		g := nl.Gate(gid)
+		r.set[nl.NetName(g.Output)] = func(v logic.Value) { s.SetState(i, v) }
+		r.obs[aig.FFPrefix+g.Name] = g.Inputs[0]
 	}
-	s.Settle()
-	out := make(map[string]logic.Value)
 	for _, po := range nl.POs() {
-		out[nl.NetName(po)] = s.Value(po)
+		r.obs[nl.NetName(po)] = po
 	}
-	for _, gid := range nl.DFFs() {
-		out[aig.FFPrefix+nl.Gate(gid).Name] = s.Value(nl.Gate(gid).Inputs[0])
+	return r
+}
+
+// simulate drives nl's free inputs from assign, settles, and returns the
+// value of every observable by name. Unlisted inputs default to 0 — the same
+// completion eqcheck uses for inputs outside a counterexample's support.
+func simulate(t *testing.T, nl *netlist.Netlist, assign map[string]bool) map[string]logic.Value {
+	t.Helper()
+	r := newRefSim(t, nl)
+	for name, set := range r.set {
+		set(logic.FromBool(assign[name]))
+	}
+	r.s.Settle()
+	out := make(map[string]logic.Value, len(r.obs))
+	for name, n := range r.obs {
+		out[name] = r.s.Value(n)
 	}
 	return out
 }

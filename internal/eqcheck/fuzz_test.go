@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/bits"
 	"reflect"
-	"sort"
 	"testing"
 
 	"gatewords/internal/aig"
@@ -12,7 +11,6 @@ import (
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
 	"gatewords/internal/obs"
-	"gatewords/internal/sim"
 )
 
 // byteSource deals bytes from the fuzz input, repeating 0 when exhausted.
@@ -146,51 +144,27 @@ const maxEnumerated = 14
 
 // distinguishable is the ground-truth oracle for a netlist pair. It drives
 // one reference simulator per side through every assignment of the pair's
-// free inputs (primary inputs and flip-flop states, matched by net name) in
-// Gray-code order, and reports each shared observable that some assignment
-// makes the sides disagree on. It evaluates the netlists directly, sharing
-// no code with the AIG lowering, the CNF encoding or the SAT solver. ok is
-// false when the pair has more than maxEnumerated free inputs.
+// free inputs in Gray-code order, one input flip per step, and reports each
+// shared observable that some assignment makes the sides disagree on. It
+// evaluates the netlists directly, sharing no code with the AIG lowering,
+// the CNF encoding or the SAT solver. ok is false when the pair has more
+// than maxEnumerated free inputs.
 func distinguishable(t *testing.T, na, nb *netlist.Netlist) (diff map[string]bool, ok bool) {
 	t.Helper()
-	type side struct {
-		s   *sim.Simulator
-		set map[string]func(logic.Value) // free input name -> driver
-		obs map[string]netlist.NetID     // observable name -> net read
+	sides := [2]*refSim{newRefSim(t, na), newRefSim(t, nb)}
+	free := make(map[string]bool)
+	for _, r := range sides {
+		for name := range r.set {
+			free[name] = true
+		}
 	}
-	var names []string
-	seen := make(map[string]bool)
-	sides := make([]side, 2)
-	for k, nl := range []*netlist.Netlist{na, nb} {
-		s, err := sim.New(nl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sd := side{s: s, set: make(map[string]func(logic.Value)), obs: make(map[string]netlist.NetID)}
-		for _, pi := range nl.PIs() {
-			sd.set[nl.NetName(pi)] = func(v logic.Value) { _ = s.SetInput(pi, v) } // pi is a PI
-		}
-		for i, gid := range nl.DFFs() {
-			g := nl.Gate(gid)
-			sd.set[nl.NetName(g.Output)] = func(v logic.Value) { s.SetState(i, v) }
-			sd.obs[aig.FFPrefix+g.Name] = g.Inputs[0]
-		}
-		for _, po := range nl.POs() {
-			sd.obs[nl.NetName(po)] = po
-		}
-		for name := range sd.set {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-		sides[k] = sd
-	}
-	if len(names) > maxEnumerated {
+	if len(free) > maxEnumerated {
 		return nil, false
 	}
-	sort.Strings(names)
-	var shared []string
+	var names, shared []string
+	for name := range free {
+		names = append(names, name)
+	}
 	for name := range sides[0].obs {
 		if _, ok := sides[1].obs[name]; ok {
 			shared = append(shared, name)
@@ -198,8 +172,8 @@ func distinguishable(t *testing.T, na, nb *netlist.Netlist) (diff map[string]boo
 	}
 	vals := make([]bool, len(names))
 	apply := func(i int) {
-		for _, sd := range sides {
-			if set, ok := sd.set[names[i]]; ok {
+		for _, r := range sides {
+			if set, ok := r.set[names[i]]; ok {
 				set(logic.FromBool(vals[i]))
 			}
 		}
