@@ -39,7 +39,7 @@ func workMarker(fn *types.Func) bool {
 	case "guard":
 		return name == "Inject"
 	case "reduce":
-		return name == "Apply" || name == "ApplyObserved" || name == "VerifyCones"
+		return name == "Apply" || name == "VerifyCones"
 	case "eqcheck":
 		return name == "CheckLits" || name == "CheckNetlists" || name == "Solve"
 	}

@@ -74,7 +74,9 @@ type BitCone struct {
 
 // Builder computes cones and hash keys against one netlist.View. It
 // memoizes subtree keys per (net, depth), which is what makes whole-design
-// analysis linear in practice despite tree unfolding.
+// analysis linear in practice despite tree unfolding. A view that changes
+// in place, such as the Reduction a reduce.Propagator rewrites on every
+// apply, is keyed anew after a Reset.
 //
 // The memo is dense: memo[d-1][net] holds the key of subtree (net, d) plus
 // one, 0 meaning not yet computed. A row exists only for depths a walk has
@@ -120,7 +122,8 @@ const MaxDepth = 4096
 // NewBuilder returns a Builder over view with the given cone depth (total
 // levels of logic including the root gate). Out-of-range depths are
 // clamped: depth < 1 selects DefaultDepth, depth > MaxDepth selects
-// MaxDepth. Builders sharing an analysis must share the Interner.
+// MaxDepth. KeyIDs compare only within one Interner: builders whose keys
+// are compared with each other must share theirs.
 func NewBuilder(view netlist.View, intern *Interner, depth int) *Builder {
 	if depth < 1 {
 		depth = DefaultDepth
@@ -135,15 +138,14 @@ func NewBuilder(view netlist.View, intern *Interner, depth int) *Builder {
 	return b
 }
 
-// Reset readies the builder for the next analysis over the same view: it
-// forgets every key made since the last reset and resets its Interner, so
-// it then hands out exactly the keys and KeyIDs a fresh
-// NewBuilder(view, NewInterner(), depth) would. It costs O(keys made) and
-// keeps the memo rows, the interner's probe table and all scratch.
+// Reset readies the builder for the next analysis over its view, which may
+// have changed since: it forgets every key made since the last reset and
+// resets its Interner, so it then hands out exactly the keys and KeyIDs a
+// fresh NewBuilder(view, NewInterner(), depth) would. It costs O(keys made)
+// and keeps the memo rows, the interner's probe table and all scratch.
 //
 // Reset invalidates every KeyID and BitCone handed out before it, by this
-// builder, by an Overlay over it, or by another builder sharing its
-// Interner.
+// builder or by another builder sharing its Interner.
 func (b *Builder) Reset() {
 	for _, mk := range b.trail {
 		b.memo[mk.depth-1][mk.net] = 0
@@ -155,7 +157,7 @@ func (b *Builder) Reset() {
 // Depth returns the configured cone depth.
 func (b *Builder) Depth() int { return b.depth }
 
-// Interner returns the shared key interner.
+// Interner returns the builder's key interner.
 func (b *Builder) Interner() *Interner { return b.intern }
 
 // RootGate returns the combinational gate driving net under view and its
@@ -258,30 +260,44 @@ func (b *Builder) subtreeKey(net netlist.NetID, depth, level int) KeyID {
 // net, and boundary (leaf) nets. The result is deduplicated and unordered.
 func (b *Builder) SubtreeNets(net netlist.NetID, depth int) map[netlist.NetID]bool {
 	out := make(map[netlist.NetID]bool)
-	b.collectNets(net, depth, out)
+	b.CollectSubtreeNets(net, depth, out)
 	return out
 }
 
 // CollectSubtreeNets adds the subtree's nets (as SubtreeNets defines them)
 // to out, letting callers accumulate the union over many roots — e.g. the
-// fanin-closed scope of a whole subgroup — without a map per call.
+// cone scope of a whole subgroup — without a map per call.
+//
+// The walk goes level by level from net, as aig.ConeInternal does, so each
+// net is expanded once, at its shortest distance from net: on reconvergent
+// logic a walk per path is exponential in depth. Any net a path reaches
+// within depth levels, a shortest path reaches too, so the set is the same.
+// seen is the walk's own: out may already hold nets of other roots, which
+// this root must still expand.
 func (b *Builder) CollectSubtreeNets(net netlist.NetID, depth int, out map[netlist.NetID]bool) {
-	b.collectNets(net, depth, out)
-}
-
-func (b *Builder) collectNets(net netlist.NetID, depth int, out map[netlist.NetID]bool) {
 	out[net] = true
-	if depth <= 0 {
-		return
-	}
-	if _, isConst := b.view.NetConst(net); isConst {
-		return
-	}
-	g := b.view.DriverOf(net)
-	if g == netlist.NoGate || !b.view.GateKind(g).IsCombinational() {
-		return
-	}
-	for _, in := range b.view.GateInputs(g, nil) {
-		b.collectNets(in, depth-1, out)
+	seen := map[netlist.NetID]bool{net: true}
+	frontier := []netlist.NetID{net}
+	var next []netlist.NetID
+	for d := 0; d < depth && len(frontier) > 0; d++ {
+		next = next[:0]
+		for _, n := range frontier {
+			if _, isConst := b.view.NetConst(n); isConst {
+				continue
+			}
+			g := b.view.DriverOf(n)
+			if g == netlist.NoGate || !b.view.GateKind(g).IsCombinational() {
+				continue
+			}
+			b.inbuf = b.view.GateInputs(g, b.inbuf[:0])
+			for _, in := range b.inbuf {
+				if !seen[in] {
+					seen[in] = true
+					out[in] = true
+					next = append(next, in)
+				}
+			}
+		}
+		frontier, next = next, frontier
 	}
 }

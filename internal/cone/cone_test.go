@@ -1,11 +1,13 @@
 package cone
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
+	"gatewords/internal/reduce"
 )
 
 // chainNet builds: bit = NAND(x1, x2) where x1 = NAND(a,b), x2 = NAND(c,d),
@@ -260,6 +262,116 @@ func TestSubtreeNets(t *testing.T) {
 	// Depth 0 keeps only the root.
 	if got := b.SubtreeNets(bc.Subtrees[0].Root, 0); len(got) != 1 {
 		t.Errorf("depth-0 nets = %d", len(got))
+	}
+}
+
+// countingView is a netlist.View that counts its GateInputs calls.
+type countingView struct {
+	netlist.View
+	gateInputs int
+}
+
+func (v *countingView) GateInputs(g netlist.GateID, buf []netlist.NetID) []netlist.NetID {
+	v.gateInputs++
+	return v.View.GateInputs(g, buf)
+}
+
+// diamondChain appends levels reconvergent diamonds to nl, starting at a new
+// primary input: each level is the AND of a NOT and a BUF of the previous
+// level's net, so the returned end net reaches the input along 2^levels
+// paths through 3*levels gates and 2*levels levels of logic.
+func diamondChain(nl *netlist.Netlist, levels int) netlist.NetID {
+	prev := nl.MustNet("d0")
+	nl.MarkPI(prev)
+	for i := 1; i <= levels; i++ {
+		sfx := itoa(i)
+		inv, buf, and := nl.MustNet("dn"+sfx), nl.MustNet("db"+sfx), nl.MustNet("d"+sfx)
+		nl.MustGate("gn"+sfx, logic.Not, inv, prev)
+		nl.MustGate("gb"+sfx, logic.Buf, buf, prev)
+		nl.MustGate("ga"+sfx, logic.And, and, inv, buf)
+		prev = and
+	}
+	return prev
+}
+
+// TestSubtreeNetsReconvergent pins the level-order walk of SubtreeNets: on
+// a chain of 20 diamonds, whose end reaches the input along 2^20 paths, it
+// collects the whole cone with at most one GateInputs call per net. A walk
+// that recursed once per path made over a million.
+func TestSubtreeNetsReconvergent(t *testing.T) {
+	nl := netlist.New("diamonds")
+	end := diamondChain(nl, 20)
+	if err := nl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	view := &countingView{View: nl}
+	nets := NewBuilder(view, NewInterner(), 42).SubtreeNets(end, 42)
+	if len(nets) != nl.NetCount() {
+		t.Errorf("SubtreeNets holds %d nets, want all %d", len(nets), nl.NetCount())
+	}
+	if view.gateInputs > nl.NetCount() {
+		t.Errorf("SubtreeNets made %d GateInputs calls on %d nets", view.gateInputs, nl.NetCount())
+	}
+}
+
+// pathNets is the definition SubtreeNets implements, walked once per path:
+// net, and for a net with a combinational driver under view, the nets of
+// each input's subtree one level shallower.
+func pathNets(view netlist.View, net netlist.NetID, depth int, out map[netlist.NetID]bool) {
+	out[net] = true
+	if depth <= 0 {
+		return
+	}
+	if _, isConst := view.NetConst(net); isConst {
+		return
+	}
+	g := view.DriverOf(net)
+	if g == netlist.NoGate || !view.GateKind(g).IsCombinational() {
+		return
+	}
+	for _, in := range view.GateInputs(g, nil) {
+		pathNets(view, in, depth-1, out)
+	}
+}
+
+// TestSubtreeNetsMatchesPathWalk checks SubtreeNets and CollectSubtreeNets
+// against pathNets on random circuits, unreduced and under a constant, at
+// depths 0 to 5. CollectSubtreeNets gathers two roots into one set, so a
+// net the first root already reached must still be expanded for the second.
+func TestSubtreeNetsMatchesPathWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		nl, driven := randCircuit(rng, 5, 40)
+		if err := nl.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		views := []netlist.View{nl}
+		if red, err := reduce.Apply(nl, map[netlist.NetID]logic.Value{netlist.NetID(rng.Intn(5)): logic.Zero}); err == nil {
+			views = append(views, red)
+		}
+		for vi, view := range views {
+			b := NewBuilder(view, NewInterner(), DefaultDepth)
+			for depth := 0; depth <= 5; depth++ {
+				for _, n := range driven {
+					want := map[netlist.NetID]bool{}
+					pathNets(view, n, depth, want)
+					if got := b.SubtreeNets(n, depth); !maps.Equal(got, want) {
+						t.Fatalf("trial %d view %d depth %d net %s: SubtreeNets %v, want %v",
+							trial, vi, depth, nl.NetName(n), got, want)
+					}
+				}
+				r1, r2 := driven[rng.Intn(len(driven))], driven[rng.Intn(len(driven))]
+				got, want := map[netlist.NetID]bool{}, map[netlist.NetID]bool{}
+				b.CollectSubtreeNets(r1, depth, got)
+				b.CollectSubtreeNets(r2, depth, got)
+				pathNets(view, r1, depth, want)
+				pathNets(view, r2, depth, want)
+				if !maps.Equal(got, want) {
+					t.Fatalf("trial %d view %d depth %d roots %s, %s: CollectSubtreeNets %v, want %v",
+						trial, vi, depth, nl.NetName(r1), nl.NetName(r2), got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -59,11 +59,6 @@ type Options struct {
 	// NoPartialGroups disables the Theta rule, so only fully similar
 	// (possibly after reduction) bit sets become words. Ablation knob.
 	NoPartialGroups bool
-	// MaxTrials caps assignment trials per subgroup (default 96).
-	MaxTrials int
-	// MaxControlSignals caps the relevant signals considered per subgroup
-	// (default 8); the paper observes the count per word is small.
-	MaxControlSignals int
 	// DFFInputsOnly restricts candidate bits to flip-flop D inputs.
 	DFFInputsOnly bool
 	// CollectTrace records a human-readable decision log in Result.Trace.
@@ -81,9 +76,6 @@ type Options struct {
 	// ConesUnknown; refutations and undecided cones are itemized in
 	// Result.ReductionChecks.
 	VerifyReduction bool
-	// VerifyMaxConflicts bounds the per-cone SAT effort when VerifyReduction
-	// is on (0 = the eqcheck default; negative disables the SAT stage).
-	VerifyMaxConflicts int
 	// Context, when non-nil, bounds the run: cancellation (or a deadline) is
 	// checked cooperatively at group, subgroup, and trial granularity. An
 	// interrupted run returns the words emitted so far — every emitted word
@@ -130,14 +122,16 @@ func (o Options) withDefaults() Options {
 	if o.Theta <= 0 {
 		o.Theta = 0.5
 	}
-	if o.MaxTrials <= 0 {
-		o.MaxTrials = 96
-	}
-	if o.MaxControlSignals <= 0 {
-		o.MaxControlSignals = 8
-	}
 	return o
 }
+
+// Per-subgroup caps of the §2.5 search: at most maxControlSignals relevant
+// signals are assigned (the paper observes the count per word is small),
+// in at most maxTrials trials.
+const (
+	maxControlSignals = 8
+	maxTrials         = 96
+)
 
 // Word is one generated word.
 type Word struct {
@@ -257,16 +251,17 @@ func Identify(nl *netlist.Netlist, opt Options) *Result {
 // parallel worker carries from group to group, so that groups reset it
 // instead of rebuilding it: the propagator clears its undo trail on every
 // apply, the builder forgets its keys and restarts its interner's numbering
-// for each multi-net group, and the overlay is repointed on every trial.
-// Each is created on first use. rec is where the worker's groups record:
-// Options.Observer itself on the sequential path, a private recorder merged
-// into it after the pool drains on the parallel path (nil when the run is
-// not observed).
+// for each multi-net group, and the trial builder, which views the
+// propagator's Reduction with an interner of its own, does the same for
+// every trial. Each is created on first use. rec is where the worker's
+// groups record: Options.Observer itself on the sequential path, a private
+// recorder merged into it after the pool drains on the parallel path (nil
+// when the run is not observed).
 type worker struct {
-	prop *reduce.Propagator
-	b    *cone.Builder
-	ov   *cone.Overlay
-	rec  *obs.Recorder
+	prop  *reduce.Propagator
+	b     *cone.Builder
+	trial *cone.Builder
+	rec   *obs.Recorder
 }
 
 func newPipeline(nl *netlist.Netlist, opt Options, w *worker) *pipeline {
@@ -298,8 +293,8 @@ type groupOutcome struct {
 // The group records into w.rec behind a snapshot: the recorder is a
 // fixed-size value, copied before the group runs. A panic restores the copy
 // and counts the recovery, so a failed group's observations are discarded
-// too. It also drops w's propagator, builder and overlay, so a propagation
-// or keying walk cut short never reaches the next group.
+// too. It also drops w's propagator and both builders, so a propagation or
+// keying walk cut short never reaches the next group.
 func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID, w *worker) (out groupOutcome) {
 	var snap obs.Recorder
 	if w.rec != nil {
@@ -314,7 +309,7 @@ func runGroup(nl *netlist.Netlist, opt Options, gi int, nets []netlist.NetID, w 
 			}
 			out.failure = guard.NewGroupFailure(gi, stage, v)
 			out.res = &Result{}
-			w.prop, w.b, w.ov = nil, nil, nil
+			w.prop, w.b, w.trial = nil, nil, nil
 			if w.rec != nil {
 				*w.rec = snap
 				w.rec.Add(obs.CtrPanicsRecovered, 1)
@@ -460,8 +455,8 @@ func identifyParallel(nl *netlist.Netlist, opt Options, groups [][]netlist.NetID
 
 // pipeline runs one adjacency group on the state of the worker running it:
 // rec (nil disables observation at ~zero cost), the builder processGroup
-// makes or resets for a multi-net group, and the overlay and propagator the
-// trials reuse.
+// makes or resets for a multi-net group, and the propagator and trial
+// builder the trials reuse.
 type pipeline struct {
 	*worker
 	nl  *netlist.Netlist
@@ -611,14 +606,12 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 		return
 	}
 
-	// Fanin-closed scope of the subgroup's cones, computed once: per trial,
-	// the dirty walk and re-keying stay inside it no matter how far the
-	// reduction propagated. It is also the cone-size budget's measure.
-	scope := p.subgroupScope(bits)
-	if b.MaxConeGates > 0 && len(scope) > b.MaxConeGates {
-		p.degrade(bits, guard.ReasonConeGates,
-			fmt.Sprintf("cone scope %d nets > budget %d", len(scope), b.MaxConeGates))
-		return
+	if b.MaxConeGates > 0 {
+		if n := p.coneScopeSize(bits); n > b.MaxConeGates {
+			p.degrade(bits, guard.ReasonConeGates,
+				fmt.Sprintf("cone scope %d nets > budget %d", n, b.MaxConeGates))
+			return
+		}
 	}
 
 	var signals []ctrlsig.Signal
@@ -627,8 +620,8 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 		signals = ctrlsig.Find(p.nl, p.b, dissim, p.opt.Depth-1)
 	})
 	p.rec.Max(obs.GaugeControlSignals, int64(len(signals)))
-	if len(signals) > p.opt.MaxControlSignals {
-		signals = signals[:p.opt.MaxControlSignals]
+	if len(signals) > maxControlSignals {
+		signals = signals[:maxControlSignals]
 	}
 	for _, s := range signals {
 		mark(&p.found, s.Net)
@@ -642,7 +635,7 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 	var truncated bool
 	p.rec.Do(p.opt.Context, obs.StageTrial, func() {
 		p.enterStage(obs.StageTrial.String())
-		bestTrial, trials, truncated = p.runTrials(bits, scope, signals, maxClassSize(baseClasses))
+		bestTrial, trials, truncated = p.runTrials(bits, signals, maxClassSize(baseClasses))
 	})
 	if p.result.Stats.Interrupted {
 		// Cancelled mid-trial-loop: the subgroup's exploration is incomplete,
@@ -733,14 +726,14 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 // returns the best trial (nil unless one beat bestSize, the largest
 // unreduced class), the trials run, and whether the group trial budget cut
 // the enumeration short.
-func (p *pipeline) runTrials(bits []*cone.BitCone, scope map[netlist.NetID]bool, signals []ctrlsig.Signal, bestSize int) (best *trialResult, trials int, truncated bool) {
+func (p *pipeline) runTrials(bits []*cone.BitCone, signals []ctrlsig.Signal, bestSize int) (best *trialResult, trials int, truncated bool) {
 	// bestShared marks a best trial whose reduction still shares the
 	// propagator's state. verifyTrial reads it after the loop, so it is
 	// detached before the next trial overwrites that state.
 	bestShared := false
 	b := p.opt.Budgets
 	p.forEachAssignment(signals, func(assign map[netlist.NetID]logic.Value) bool {
-		if trials >= p.opt.MaxTrials || p.cancelled() {
+		if trials >= maxTrials || p.cancelled() {
 			return false
 		}
 		if b.MaxTrialsPerGroup > 0 && p.groupTrials >= b.MaxTrialsPerGroup {
@@ -758,7 +751,7 @@ func (p *pipeline) runTrials(bits []*cone.BitCone, scope map[netlist.NetID]bool,
 			best.red = best.red.Detach()
 			bestShared = false
 		}
-		tr := p.tryAssignment(bits, scope, assign)
+		tr := p.tryAssignment(bits, assign)
 		if p.opt.CollectTrace {
 			p.traceTrial(bits, assign, tr)
 		}
@@ -851,7 +844,6 @@ func (p *pipeline) verifyTrial(bits []*cone.BitCone, tr *trialResult) {
 	// the budget doubles per retry, so undecided verdicts cost extra effort
 	// only where the first attempt came up empty.
 	vr := tr.red.VerifyCones(roots, p.opt.Depth, eqcheck.Options{
-		MaxConflicts: p.opt.VerifyMaxConflicts,
 		RetryUnknown: 2,
 		Observer:     p.rec,
 	})
@@ -875,32 +867,26 @@ func (p *pipeline) verifyTrial(bits []*cone.BitCone, tr *trialResult) {
 	}
 }
 
-// subgroupScope returns the union of the bits' fanin-cone nets: each bit,
-// its subtree roots, and every net within cone depth below them. The set is
-// fanin-closed over the keyed subtrees, which is the soundness condition for
-// reduce.DirtyDistancesIn.
-func (p *pipeline) subgroupScope(bits []*cone.BitCone) map[netlist.NetID]bool {
+// coneScopeSize returns the size of the subgroup's cone scope, the measure
+// of Budgets.MaxConeGates: the union of the bits' fanin cones, each the bit
+// and every net within cone depth below it.
+func (p *pipeline) coneScopeSize(bits []*cone.BitCone) int {
 	scope := make(map[netlist.NetID]bool)
 	for _, bc := range bits {
-		scope[bc.Net] = true
-		for _, st := range bc.Subtrees {
-			p.b.CollectSubtreeNets(st.Root, p.opt.Depth-1, scope)
-		}
+		p.b.CollectSubtreeNets(bc.Net, p.opt.Depth, scope)
 	}
-	return scope
+	return len(scope)
 }
 
 // tryAssignment propagates one assignment and regroups the subgroup's bits
 // by full similarity on the reduced circuit. It returns nil for infeasible
 // (contradictory) assignments or ones that constant-fold a bit away.
 //
-// Re-matching is incremental: instead of re-deriving every key under a
-// fresh Builder per trial, a cone.Overlay reuses the subgroup builder's
-// memoized keys for all subtrees out of the reduction's reach and re-keys
-// only nets within Depth fanin levels of a changed net. The dirty walk is
-// confined to the subgroup's cone scope, so trial cost is bounded by the
-// subgroup's cones, not by the size of the reduced region.
-func (p *pipeline) tryAssignment(bits []*cone.BitCone, scope map[netlist.NetID]bool, assign map[netlist.NetID]logic.Value) *trialResult {
+// The trial builder keys the bits afresh on the reduced circuit. Trial
+// classes depend only on key equality among this trial's bits, so it has
+// an interner of its own, and it is reset before every trial: its KeyIDs
+// never leave the trial, and the group's interner does not grow with them.
+func (p *pipeline) tryAssignment(bits []*cone.BitCone, assign map[netlist.NetID]logic.Value) *trialResult {
 	if p.prop == nil {
 		p.prop = reduce.NewPropagator(p.nl)
 	}
@@ -913,15 +899,16 @@ func (p *pipeline) tryAssignment(bits []*cone.BitCone, scope map[netlist.NetID]b
 	}
 	p.result.Stats.Reductions++
 	p.rec.Add(obs.CtrReductions, 1)
-	dist := red.DirtyDistancesIn(scope, p.opt.Depth-1)
-	if p.ov == nil {
-		p.ov = p.b.Overlay(red, dist)
+	// Every apply rewrites the same Reduction in place, so the builder made
+	// over the first one views every later one.
+	if p.trial == nil {
+		p.trial = cone.NewBuilder(red, cone.NewInterner(), p.opt.Depth)
 	} else {
-		p.ov.Reset(red, dist)
+		p.trial.Reset()
 	}
 	newBits := make([]*cone.BitCone, len(bits))
 	for i, bc := range bits {
-		nb := p.ov.Bit(bc.Net)
+		nb := p.trial.Bit(bc.Net)
 		if nb == nil {
 			if p.opt.CollectTrace {
 				p.tracef("bit %s simplified away (const=%v)", p.nl.NetName(bc.Net), red.Value(bc.Net))

@@ -258,7 +258,7 @@ func TestIdentifyDeterministic(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Depth != 4 || o.MaxAssign != 2 || o.Theta != 0.5 || o.MaxTrials != 96 || o.MaxControlSignals != 8 {
+	if o.Depth != 4 || o.MaxAssign != 2 || o.Theta != 0.5 {
 		t.Errorf("defaults: %+v", o)
 	}
 	if o := (Options{MaxAssign: 9}).withDefaults(); o.MaxAssign != 3 {
@@ -338,17 +338,15 @@ func TestTryAssignmentAccounting(t *testing.T) {
 	if bits[0] == nil {
 		t.Fatal("no cone for bit")
 	}
-	scope := p.subgroupScope(bits)
-
 	// k=0 forces z=1; also asserting z=0 is a contradiction.
-	if tr := p.tryAssignment(bits, scope, map[netlist.NetID]logic.Value{k: logic.Zero, z: logic.Zero}); tr != nil {
+	if tr := p.tryAssignment(bits, map[netlist.NetID]logic.Value{k: logic.Zero, z: logic.Zero}); tr != nil {
 		t.Fatal("contradictory assignment accepted")
 	}
 	if p.result.Stats.Reductions != 0 {
 		t.Errorf("infeasible trial counted as reduction: %+v", p.result.Stats)
 	}
 
-	tr := p.tryAssignment(bits, scope, map[netlist.NetID]logic.Value{k: logic.Zero})
+	tr := p.tryAssignment(bits, map[netlist.NetID]logic.Value{k: logic.Zero})
 	if tr == nil {
 		t.Fatal("feasible assignment rejected")
 	}
@@ -469,7 +467,7 @@ func TestBestTrialSurvivesLaterTrials(t *testing.T) {
 	values := []logic.Value{logic.Zero, logic.One}
 	signals := []ctrlsig.Signal{{Net: k, Values: values}, {Net: j, Values: values}}
 	p.opt.MaxAssign = 1
-	best, trials, _ := p.runTrials(bits, p.subgroupScope(bits), signals, maxClassSize(classesByKey(bits, nil)))
+	best, trials, _ := p.runTrials(bits, signals, maxClassSize(classesByKey(bits, nil)))
 	kZero := map[netlist.NetID]logic.Value{k: logic.Zero}
 	if best == nil || best.maxClass != 2 || !reflect.DeepEqual(best.assign, kZero) || trials != 4 {
 		t.Fatalf("want best trial k=0 with a 2-bit class, then three more trials; got %+v after %d trials", best, trials)

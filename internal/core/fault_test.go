@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"gatewords/internal/group"
 	"gatewords/internal/guard"
+	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
 	"gatewords/internal/obs"
 )
@@ -147,6 +149,70 @@ func TestFaultBudgetDegradation(t *testing.T) {
 				t.Error("parallel degraded words differ from sequential")
 			}
 		})
+	}
+}
+
+// TestConeBudgetOnReconvergentCone runs a subgroup whose dissimilar subtrees
+// are a chain of 32 diamonds (each level the AND of a NOT and a BUF of the
+// previous net), read at a depth that covers the whole chain. The chain's
+// end reaches its input along 2^32 paths, so a cone walk per path would
+// never return. Identify must return promptly with MaxConeGates unset, set
+// below the subgroup's 101-net cone scope, and set above it. It degrades
+// the subgroup in the second case and otherwise walks the chain again to
+// find its end as the control signal.
+func TestConeBudgetOnReconvergentCone(t *testing.T) {
+	const levels = 32
+	nl := netlist.New("diamonds")
+	pi := func(n string) netlist.NetID {
+		id := nl.MustNet(n)
+		nl.MarkPI(id)
+		return id
+	}
+	end := pi("d0")
+	for i := 1; i <= levels; i++ {
+		sfx := fmt.Sprint(i)
+		inv, buf, and := nl.MustNet("dn"+sfx), nl.MustNet("db"+sfx), nl.MustNet("d"+sfx)
+		nl.MustGate("gn"+sfx, logic.Not, inv, end)
+		nl.MustGate("gb"+sfx, logic.Buf, buf, end)
+		nl.MustGate("ga"+sfx, logic.And, and, inv, buf)
+		end = and
+	}
+	notEnd := nl.MustNet("ne")
+	nl.MustGate("gne", logic.Not, notEnd, end)
+	a := pi("a")
+	nl.MustGate("gbit0", logic.Nand, nl.MustNet("bit0"), end, a)
+	nl.MustGate("gbit1", logic.Nand, nl.MustNet("bit1"), notEnd, a)
+	if err := nl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		gates   int
+		degrade []string
+	}{
+		{0, nil},
+		{100, []string{"cone scope 101 nets > budget 100"}},
+		{101, nil},
+	} {
+		done := make(chan *Result, 1)
+		go func() {
+			done <- Identify(nl, Options{Depth: 2*levels + 2, Budgets: guard.Budgets{MaxConeGates: tc.gates}})
+		}()
+		var res *Result
+		select {
+		case res = <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("MaxConeGates %d: Identify did not return within a minute", tc.gates)
+		}
+		var details []string
+		for _, d := range res.Degradations {
+			details = append(details, d.Detail)
+		}
+		if !reflect.DeepEqual(details, tc.degrade) {
+			t.Errorf("MaxConeGates %d: degradations %q, want %q", tc.gates, details, tc.degrade)
+		}
+		if found := res.FoundControlSignals; tc.degrade == nil && !reflect.DeepEqual(found, []netlist.NetID{end}) {
+			t.Errorf("MaxConeGates %d: control signals %v, want the chain's end %d", tc.gates, found, end)
+		}
 	}
 }
 

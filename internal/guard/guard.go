@@ -92,9 +92,10 @@ func Rescue(stage string, onPanic func(*GroupFailure)) {
 // everywhere, preserving historical behavior.
 type Budgets struct {
 	// MaxConeGates caps the size of one subgroup's fanin-cone scope: the
-	// union of the bits' depth-limited cone nets, which bounds every
-	// per-trial dirty walk and re-keying pass. A subgroup whose scope
-	// exceeds it skips control-signal discovery and assignment trials.
+	// union of the bits' depth-limited cone nets, which bounds the nets
+	// that control-signal discovery walks and every trial re-keys. A
+	// subgroup whose scope exceeds it skips control-signal discovery and
+	// assignment trials.
 	MaxConeGates int
 	// MaxSubgroupPairs caps the matching cross product of one subgroup:
 	// bits × dissimilar subtrees. It is the cheap upper bound on the work
@@ -102,9 +103,10 @@ type Budgets struct {
 	MaxSubgroupPairs int
 	// MaxTrialsPerGroup caps assignment trials (control assignments
 	// propagated, feasible or not) across one whole adjacency group, on top
-	// of the per-subgroup Options.MaxTrials cap. When the group budget runs
-	// out mid-subgroup, the enumeration stops and the best evidence so far
-	// is kept; later subgroups in the group skip trials entirely.
+	// of internal/core's per-subgroup cap, the constant maxTrials (96).
+	// When the group budget runs out mid-subgroup, the enumeration stops
+	// and the best evidence so far is kept; later subgroups in the group
+	// skip trials entirely.
 	MaxTrialsPerGroup int
 }
 

@@ -67,14 +67,7 @@ var ErrMalformedGate = fmt.Errorf("reduce: malformed gate")
 // never cross flip-flops: a constant D input says nothing about the stored
 // state in general, and word identification is a combinational analysis.
 func Apply(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value) (*Reduction, error) {
-	return ApplyObserved(nl, assign, nil)
-}
-
-// ApplyObserved is Apply with observability: the propagation's gate-visit
-// count and peak worklist depth report into rec (see internal/obs). A nil
-// rec records nothing and costs two local integer updates per visit.
-func ApplyObserved(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value, rec *obs.Recorder) (*Reduction, error) {
-	return NewPropagator(nl).Apply(assign, rec)
+	return NewPropagator(nl).Apply(assign, nil)
 }
 
 // Propagator runs many applies over one netlist on the same dense state:
@@ -154,9 +147,13 @@ func NewPropagator(nl *netlist.Netlist) *Propagator {
 	return p
 }
 
-// Apply is ApplyObserved on the propagator's reused state: the returned
-// Reduction is overwritten by the next call. A netlist grown since the last
-// apply (gates or nets added) is copied afresh first.
+// Apply is the package-level Apply on the propagator's reused state, with
+// observability: the propagation's gate-visit count and peak worklist depth
+// report into rec (see internal/obs); a nil rec records nothing. Every call
+// returns the same Reduction, rewritten in place, so the one returned is
+// overwritten by the next call and a view of it follows the propagator. A
+// netlist grown since the last apply (gates or nets added) is copied afresh
+// first.
 func (p *Propagator) Apply(assign map[netlist.NetID]logic.Value, rec *obs.Recorder) (*Reduction, error) {
 	r := &p.red
 	r.reset()
@@ -319,89 +316,6 @@ func (p *Propagator) visitGate(g netlist.GateID, queue []netlist.NetID) []netlis
 // Value returns the inferred constant for a net (X if the net is live).
 func (r *Reduction) Value(n netlist.NetID) logic.Value { return r.vals[n] }
 
-// DirtyDistances returns, for every net lying within maxDist fanin levels
-// of a net the reduction changed, the minimum number of driver (fanin)
-// steps from that net down to a changed net; changed nets themselves map to
-// 0. A structural subtree (net, depth) renders identically on the original
-// and reduced circuits exactly when no changed net is within depth levels
-// of its root, so cone.Overlay uses this map to decide which subtree keys
-// can be reused from the unreduced builder's memo.
-//
-// The walk is a level-order BFS downstream over fanout edges, bounded to
-// maxDist levels; it stops at sequential cells, whose outputs are structural
-// leaves regardless of their inputs (and whose values the propagation never
-// crosses either).
-func (r *Reduction) DirtyDistances(maxDist int) map[netlist.NetID]int {
-	dist := make(map[netlist.NetID]int, 2*len(r.trail))
-	frontier := make([]netlist.NetID, 0, len(r.trail))
-	for _, n := range r.trail {
-		dist[n] = 0
-		frontier = append(frontier, n)
-	}
-	var next []netlist.NetID
-	for d := 1; d <= maxDist && len(frontier) > 0; d++ {
-		next = next[:0]
-		for _, n := range frontier {
-			for _, g := range r.nl.Net(n).Fanout {
-				gate := r.nl.Gate(g)
-				if !gate.Kind.IsCombinational() {
-					continue
-				}
-				if _, seen := dist[gate.Output]; seen {
-					continue
-				}
-				dist[gate.Output] = d
-				next = append(next, gate.Output)
-			}
-		}
-		frontier, next = next, frontier
-	}
-	return dist
-}
-
-// DirtyDistancesIn is DirtyDistances restricted to a scope (typically the
-// union of a subgroup's fanin-cone nets): seeds are the changed nets inside
-// scope, and the walk never leaves it. Cost is O(|scope|) regardless of how
-// far the reduction propagated — the property that makes per-trial
-// incremental re-keying cheaper than re-deriving a subgroup's keys from
-// scratch even when an assignment constant-folds a large region.
-//
-// The restriction is sound for cone.Overlay whenever scope is fanin-closed
-// over the keyed subtrees (every net within cone depth of a keyed root is in
-// scope): any fanin path from a keyed net to a changed net then lies wholly
-// inside scope, so the restricted walk assigns the same distances the global
-// walk would.
-func (r *Reduction) DirtyDistancesIn(scope map[netlist.NetID]bool, maxDist int) map[netlist.NetID]int {
-	dist := make(map[netlist.NetID]int)
-	frontier := make([]netlist.NetID, 0, 16)
-	//anlz:ignore mapdet level-order BFS: dist assigns each net its level, so the returned map is order-independent
-	for n := range scope {
-		if r.vals[n].Known() {
-			dist[n] = 0
-			frontier = append(frontier, n)
-		}
-	}
-	var next []netlist.NetID
-	for d := 1; d <= maxDist && len(frontier) > 0; d++ {
-		next = next[:0]
-		for _, n := range frontier {
-			for _, g := range r.nl.Net(n).Fanout {
-				gate := r.nl.Gate(g)
-				if !gate.Kind.IsCombinational() || !scope[gate.Output] {
-					continue
-				}
-				if _, seen := dist[gate.Output]; seen {
-					continue
-				}
-				dist[gate.Output] = d
-				next = append(next, gate.Output)
-			}
-		}
-		frontier, next = next, frontier
-	}
-	return dist
-}
-
 // AssignedCount returns the number of nets with inferred constants.
 func (r *Reduction) AssignedCount() int { return len(r.trail) }
 
@@ -419,6 +333,10 @@ func (r *Reduction) RemovedGateCount() int {
 }
 
 // --- netlist.View implementation -------------------------------------------
+
+// NetCount returns the net count of the reduced netlist, which
+// cone.NewBuilder reads to size its memo rows.
+func (r *Reduction) NetCount() int { return r.nl.NetCount() }
 
 // NetConst implements netlist.View.
 func (r *Reduction) NetConst(n netlist.NetID) (logic.Value, bool) {
@@ -445,13 +363,18 @@ func (r *Reduction) GateInputs(g netlist.GateID, buf []netlist.NetID) []netlist.
 	return append(buf, r.effective(g).ins...)
 }
 
-// effective returns g's rewritten form, computing and caching it on first
-// use.
+// effective returns g's rewritten form. A gate with no constant input is
+// its own rewritten form and is returned as is, without a cache entry: a
+// view keying the reduced circuit queries many gates the reduction did not
+// touch. Any other gate is rewritten on first use and cached.
 func (r *Reduction) effective(g netlist.GateID) effGate {
+	gate := r.nl.Gate(g)
+	if !slices.ContainsFunc(gate.Inputs, func(n netlist.NetID) bool { return r.vals[n].Known() }) {
+		return effGate{kind: gate.Kind, ins: gate.Inputs}
+	}
 	if e, ok := r.eff[g]; ok {
 		return e
 	}
-	gate := r.nl.Gate(g)
 	kind, ins, _, err := TrySimplifyGate(gate.Kind, gate.Inputs, func(n netlist.NetID) logic.Value {
 		return r.vals[n]
 	})

@@ -418,124 +418,6 @@ func chainWithDFF(t *testing.T) (*netlist.Netlist, map[string]netlist.NetID) {
 	return nl, ids
 }
 
-func TestDirtyDistances(t *testing.T) {
-	nl, ids := chainWithDFF(t)
-	red, err := Apply(nl, map[netlist.NetID]logic.Value{ids["a"]: logic.Zero})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := red.DirtyDistances(10)
-	// a=0 propagates forward through the two inverters; all three are
-	// changed nets at distance 0. The DFF blocks both value propagation and
-	// the dirty walk, so q/i2/i3 must be absent.
-	for _, n := range []string{"a", "i0", "i1"} {
-		if d, ok := dist[ids[n]]; !ok || d != 0 {
-			t.Errorf("dist[%s] = %d, %v; want 0, true", n, d, ok)
-		}
-	}
-	for _, n := range []string{"q", "i2", "i3"} {
-		if d, ok := dist[ids[n]]; ok {
-			t.Errorf("dist[%s] = %d; want absent (behind DFF)", n, d)
-		}
-	}
-}
-
-func TestDirtyDistancesFanoutLevels(t *testing.T) {
-	// Assign only a leaf that implies nothing forward (XOR keeps outputs
-	// unknown when only one input is known), so the BFS levels are visible:
-	// x is changed (0), each XOR output downstream is one level further.
-	nl := netlist.New("lvl")
-	ids := map[string]netlist.NetID{}
-	net := func(n string) netlist.NetID {
-		ids[n] = nl.MustNet(n)
-		return ids[n]
-	}
-	x := net("x")
-	nl.MarkPI(x)
-	for _, n := range []string{"p0", "p1", "p2", "p3"} {
-		id := net(n)
-		nl.MarkPI(id)
-	}
-	nl.MustGate("g0", logic.Xor, net("l1"), x, ids["p0"])
-	nl.MustGate("g1", logic.Xor, net("l2"), ids["l1"], ids["p1"])
-	nl.MustGate("g2", logic.Xor, net("l3"), ids["l2"], ids["p2"])
-	nl.MustGate("g3", logic.Xor, net("l4"), ids["l3"], ids["p3"])
-	if err := nl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	red, err := Apply(nl, map[netlist.NetID]logic.Value{x: logic.One})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := red.DirtyDistances(2)
-	want := map[string]int{"x": 0, "l1": 1, "l2": 2}
-	for n, d := range want {
-		if got, ok := dist[ids[n]]; !ok || got != d {
-			t.Errorf("dist[%s] = %d, %v; want %d, true", n, got, ok, d)
-		}
-	}
-	// The bound must cut the walk: l3 and l4 lie beyond maxDist=2.
-	for _, n := range []string{"l3", "l4"} {
-		if d, ok := dist[ids[n]]; ok {
-			t.Errorf("dist[%s] = %d; want absent (beyond maxDist)", n, d)
-		}
-	}
-}
-
-func TestDirtyDistancesInScope(t *testing.T) {
-	// Same chain as TestDirtyDistancesFanoutLevels, but the scope excludes
-	// l2: the walk must not pass through or report out-of-scope nets.
-	nl := netlist.New("scope")
-	ids := map[string]netlist.NetID{}
-	net := func(n string) netlist.NetID {
-		ids[n] = nl.MustNet(n)
-		return ids[n]
-	}
-	x := net("x")
-	nl.MarkPI(x)
-	for _, n := range []string{"p0", "p1", "p2"} {
-		nl.MarkPI(net(n))
-	}
-	nl.MustGate("g0", logic.Xor, net("l1"), x, ids["p0"])
-	nl.MustGate("g1", logic.Xor, net("l2"), ids["l1"], ids["p1"])
-	nl.MustGate("g2", logic.Xor, net("l3"), ids["l2"], ids["p2"])
-	if err := nl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	red, err := Apply(nl, map[netlist.NetID]logic.Value{x: logic.One})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scope := map[netlist.NetID]bool{ids["x"]: true, ids["l1"]: true, ids["l3"]: true}
-	dist := red.DirtyDistancesIn(scope, 5)
-	if d, ok := dist[ids["x"]]; !ok || d != 0 {
-		t.Errorf("dist[x] = %d, %v; want 0", d, ok)
-	}
-	if d, ok := dist[ids["l1"]]; !ok || d != 1 {
-		t.Errorf("dist[l1] = %d, %v; want 1", d, ok)
-	}
-	for _, n := range []string{"l2", "l3"} {
-		if d, ok := dist[ids[n]]; ok {
-			t.Errorf("dist[%s] = %d; want absent (l2 out of scope cuts the walk)", n, d)
-		}
-	}
-	// With a fanin-closed scope the distances match the global walk.
-	full := map[netlist.NetID]bool{}
-	for n := range ids {
-		full[ids[n]] = true
-	}
-	got := red.DirtyDistancesIn(full, 5)
-	want := red.DirtyDistances(5)
-	if len(got) != len(want) {
-		t.Fatalf("full-scope dist %v != global %v", got, want)
-	}
-	for n, d := range want {
-		if got[n] != d {
-			t.Errorf("dist[%s] = %d, global %d", nl.NetName(n), got[n], d)
-		}
-	}
-}
-
 // TestApplyMalformedGateIsAnError pins the lenient-netlist hardening: a
 // bad-arity gate (legal in a leniently parsed netlist) reached by
 // propagation must surface as a wrapped ErrMalformedGate, not a panic from
