@@ -2,7 +2,7 @@
 // daemon: clients POST a gate-level Verilog netlist (or the name of a
 // generated benchmark profile) and poll for the finished report, while the
 // daemon runs jobs on a bounded worker pool with per-job deadlines and a
-// content-addressed result cache.
+// result cache keyed on the exact request.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //	-addr HOST:PORT     listen address (default 127.0.0.1:8080; port 0 picks one)
 //	-workers N          concurrent identification jobs (default GOMAXPROCS)
 //	-queue N            queued jobs beyond the running ones (default 64)
-//	-cache N            cached reports, LRU (default 256; 0 disables)
+//	-cache N            cached reports, LRU (default 256; negative disables)
 //	-default-timeout D  per-job deadline when the request sets none (default 0 = none)
 //	-max-timeout D      ceiling clamped onto every per-job deadline (default 0 = none)
 //	-max-body N         submission body size cap in bytes (default 32 MiB)
@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	workers := fs.Int("workers", 0, "concurrent identification jobs (default GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "queued jobs beyond the running ones (default 64)")
-	cache := fs.Int("cache", 0, "cached reports, LRU (default 256)")
+	cache := fs.Int("cache", 0, "cached reports, LRU (default 256; negative disables)")
 	defaultTimeout := fs.Duration("default-timeout", 0, "per-job deadline when the request sets none (0 = none)")
 	maxTimeout := fs.Duration("max-timeout", 0, "ceiling clamped onto every per-job deadline (0 = none)")
 	maxBody := fs.Int64("max-body", 0, "submission body size cap in bytes (default 32 MiB)")

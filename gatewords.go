@@ -123,9 +123,9 @@ func (d *Design) Name() string { return d.nl.Name }
 // Fingerprint returns a canonical content hash of the design as 32 hex
 // digits: equal for two designs exactly when they hold the same nets and
 // gates, regardless of declaration order; gate instance names are ignored.
-// It is the content-addressing key of the wordidd result cache — repeated
-// submissions of one design, including re-emissions with shuffled
-// declarations, collapse onto one entry.
+// wordidd keys its poison-input breaker on it. It is not a report key:
+// Identify reads declaration order, so designs with one fingerprint can
+// have different reports.
 func (d *Design) Fingerprint() string { return d.nl.Fingerprint() }
 
 // Stats summarizes the design.

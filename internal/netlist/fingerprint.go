@@ -12,19 +12,18 @@ import (
 // gates were declared in. Gate instance names are excluded: they carry no
 // circuit semantics, only diagnostics.
 //
-// The hash is the content-addressed cache key of the identification service
-// (internal/service): repeated submissions of one design — including the
-// same design re-emitted with shuffled declarations — collapse onto one
-// cache entry. Note the deliberate asymmetry with the pipeline itself, whose
-// §2.2 adjacency grouping reads declaration order: the cache treats
-// reordered declarations of one circuit as the same design and serves the
-// first run's report.
+// The hash keys the poison-input breaker of the identification service
+// (internal/service) and nothing else: failures of one circuit count
+// against it however its submissions order or space their declarations. It
+// is not the result-cache key, because the pipeline's §2.2 adjacency
+// grouping reads declaration order, so two netlists with one fingerprint
+// can have different reports; the cache keys on the exact request instead.
 //
 // Construction follows the cone.Interner hashing idiom: fnv-1a over small
 // canonical tuples, made declaration-order-independent by hashing each net
 // and gate record separately, sorting the record hashes, and folding the
 // sorted sequence. Two independent folds with different seeds give 128 bits,
-// so accidental collisions are not a practical concern for cache keying.
+// so accidental collisions are not a practical concern for the breaker.
 func (nl *Netlist) Fingerprint() string {
 	recs := make([]uint64, 0, len(nl.gates)+len(nl.nets))
 	for i := range nl.gates {

@@ -3,10 +3,9 @@ package service
 import "container/list"
 
 // resultCache is a small LRU over serialized report documents, keyed by the
-// canonical job key (design fingerprint × normalized options). It is not
-// internally locked: the Server owns it and every access happens under the
-// Server's mutex, which also keeps the hit/miss counters coherent with the
-// lookups they describe.
+// exact-request key (requestKey). It is not internally locked: the Server
+// owns it and every access happens under the Server's mutex, which also
+// keeps the hit/miss counters coherent with the lookups they describe.
 type resultCache struct {
 	cap     int
 	byKey   map[string]*list.Element
@@ -16,6 +15,7 @@ type resultCache struct {
 type cacheEntry struct {
 	key    string
 	origin string // ID of the job whose execution produced the report
+	module string // that job's module name, which a hit serves unparsed
 	report []byte
 }
 
@@ -29,28 +29,25 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-func (c *resultCache) get(key string) (origin string, report []byte, ok bool) {
+func (c *resultCache) get(key string) (cacheEntry, bool) {
 	el, ok := c.byKey[key]
 	if !ok {
-		return "", nil, false
+		return cacheEntry{}, false
 	}
 	c.recency.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.origin, e.report, true
+	return *el.Value.(*cacheEntry), true
 }
 
-func (c *resultCache) put(key, origin string, report []byte) {
+func (c *resultCache) put(e cacheEntry) {
 	if c.cap <= 0 {
 		return
 	}
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.origin = origin
-		e.report = report
+	if el, ok := c.byKey[e.key]; ok {
+		*el.Value.(*cacheEntry) = e
 		c.recency.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.recency.PushFront(&cacheEntry{key: key, origin: origin, report: report})
+	c.byKey[e.key] = c.recency.PushFront(&e)
 	for c.recency.Len() > c.cap {
 		oldest := c.recency.Back()
 		c.recency.Remove(oldest)

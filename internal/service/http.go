@@ -95,13 +95,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	src := Source{Bench: req.Bench, Verilog: req.Verilog, Top: req.Top}
-	d, err := parseSource(src)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	job, err := s.SubmitSource(d, req.Options, src)
+	job, err := s.Submit(Source{Bench: req.Bench, Verilog: req.Verilog, Top: req.Top}, req.Options)
 	if err != nil {
 		var se *submitError
 		if errors.As(err, &se) {

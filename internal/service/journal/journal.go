@@ -40,8 +40,8 @@ const headerBytes = 8 // 4-byte length + 4-byte CRC32
 
 // Record is one journaled lifecycle event. Job and Event identify the
 // transition; Data carries the event's payload (report bytes, error text,
-// submission source) as raw JSON the caller defines — the journal itself
-// does not interpret it.
+// submission source) as the JSON Append encoded from the caller's value —
+// the journal itself does not interpret it.
 type Record struct {
 	Job   string          `json:"job"`
 	Event string          `json:"event"`
@@ -132,22 +132,18 @@ func replay(r io.Reader) (records []Record, valid int64, torn int, err error) {
 	}
 }
 
-// Append journals one record: marshal, frame, and write it in a single
-// write call. An error leaves the journal usable; the caller decides whether
-// lost durability is fatal (the daemon keeps serving and counts it).
-func (j *Journal) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
+// Append journals one record for job and event, with data (nil for none)
+// as its payload: data is marshalled once, straight into the frame, which
+// is written in a single write call. The journal does the marshalling
+// itself, so a record can never carry invalid JSON; the framed bytes equal
+// Encode(Record{job, event, json.Marshal(data)}). An error leaves the
+// journal usable; the caller decides whether lost durability is fatal (the
+// daemon keeps serving and counts it).
+func (j *Journal) Append(job, event string, data any) error {
+	buf, err := frame(job, event, data)
 	if err != nil {
-		return fmt.Errorf("journal: encoding record: %w", err)
+		return err
 	}
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("journal: record of %d bytes exceeds MaxRecordBytes", len(payload))
-	}
-	buf := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerBytes:], payload)
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -157,6 +153,39 @@ func (j *Journal) Append(rec Record) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
+}
+
+// framedRecord is Record with its payload still unmarshalled, so one
+// encoding pass renders the whole record.
+type framedRecord struct {
+	Job   string `json:"job"`
+	Event string `json:"event"`
+	Data  any    `json:"data,omitempty"`
+}
+
+// frame renders one record in framed form: header, then the JSON payload,
+// encoded into one buffer.
+func frame(job, event string, data any) ([]byte, error) {
+	var b bytes.Buffer
+	b.Write(make([]byte, headerBytes)) // filled in below, once the payload is known
+	if err := json.NewEncoder(&b).Encode(framedRecord{Job: job, Event: event, Data: data}); err != nil {
+		return nil, fmt.Errorf("journal: encoding record: %w", err)
+	}
+	buf := b.Bytes()
+	buf = buf[:len(buf)-1] // Encode's trailing newline
+	payload := buf[headerBytes:]
+	if len(payload) > MaxRecordBytes {
+		return nil, fmt.Errorf("journal: record of %d bytes exceeds MaxRecordBytes", len(payload))
+	}
+	putHeader(buf, payload)
+	return buf, nil
+}
+
+// putHeader writes payload's length and checksum into the first headerBytes
+// of hdr.
+func putHeader(hdr, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 }
 
 // Sync flushes the journal to stable storage (crash-beyond-process-death
@@ -182,15 +211,15 @@ func (j *Journal) Close() error {
 }
 
 // AppendTo is the test-and-tooling helper for building journals without an
-// open Journal: it frames rec onto w exactly as Append would.
+// open Journal: it frames an already-encoded rec onto w, in the format
+// Append writes.
 func AppendTo(w io.Writer, rec Record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
 	var header [headerBytes]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
+	putHeader(header[:], payload)
 	if _, err := w.Write(header[:]); err != nil {
 		return err
 	}

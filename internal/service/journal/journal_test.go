@@ -21,6 +21,16 @@ func rec(job, event, data string) Record {
 	return r
 }
 
+// appendRec journals r through Append, handing its raw payload over as the
+// value to encode.
+func appendRec(j *Journal, r Record) error {
+	var data any
+	if r.Data != nil {
+		data = r.Data
+	}
+	return j.Append(r.Job, r.Event, data)
+}
+
 // TestRoundTrip pins the basic contract: append N records, reopen, get the
 // same N back, torn count zero, and appends after reopen extend the log.
 func TestRoundTrip(t *testing.T) {
@@ -38,7 +48,7 @@ func TestRoundTrip(t *testing.T) {
 		rec("job-000001", "done", `{"report":"eyJtIjoxfQ=="}`),
 	}
 	for _, r := range want {
-		if err := j.Append(r); err != nil {
+		if err := appendRec(j, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +67,7 @@ func TestRoundTrip(t *testing.T) {
 	if torn != 0 || !reflect.DeepEqual(records, want) {
 		t.Fatalf("replay: torn=%d records=%+v, want %+v", torn, records, want)
 	}
-	if err := j2.Append(rec("job-000002", "accepted", "")); err != nil {
+	if err := appendRec(j2, rec("job-000002", "accepted", "")); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -67,6 +77,61 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if len(records) != 4 || records[3].Job != "job-000002" {
 		t.Fatalf("append after reopen lost records: %+v", records)
+	}
+}
+
+// TestAppendMatchesEncode pins Append's single encoding pass against the
+// two-pass form: marshalling the payload, then the Record that carries it
+// as raw JSON. The framed bytes must be identical for HTML-sensitive
+// characters, U+2028 and U+2029, escaped Verilog identifiers, uncompacted
+// raw JSON and no payload at all; a payload that cannot be encoded writes
+// nothing.
+func TestAppendMatchesEncode(t *testing.T) {
+	type source struct {
+		Verilog string `json:"verilog"`
+		Top     string `json:"top,omitempty"`
+	}
+	payloads := []any{
+		nil,
+		source{
+			Verilog: "module m (\\a<b>&c[0] , y);\n  input \\a<b>&c[0] ;\u2028\u2029 // \"q\"\n\tBUF U1 (y, \\a<b>&c[0] );\nendmodule\n",
+			Top:     "m<&>",
+		},
+		json.RawMessage(`{ "report" : { "words" : [ "\\d3_0[0] ", "<&>" ] } }`),
+		map[string]any{"error": "panic: <nil> & \u2028", "n": 3},
+		"plain",
+	}
+	path := filepath.Join(t.TempDir(), "j.wal")
+	j, _, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for i, data := range payloads {
+		job := fmt.Sprintf("job-%06d", i)
+		if err := j.Append(job, "done<&>", data); err != nil {
+			t.Fatal(err)
+		}
+		r := Record{Job: job, Event: "done<&>"}
+		if data != nil {
+			raw, err := json.Marshal(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Data = raw
+		}
+		want.Write(Encode(r))
+	}
+	if err := j.Append("job-x", "done", make(chan int)); err == nil {
+		t.Error("appending an unencodable payload succeeded")
+	}
+	j.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("Append framed\n%q\nwant\n%q", got, want.Bytes())
 	}
 }
 
@@ -180,7 +245,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	if len(records) != 1 || tornCount != 1 {
 		t.Fatalf("open: %d records, %d torn; want 1, 1", len(records), tornCount)
 	}
-	if err := j.Append(rec("job-000003", "accepted", "")); err != nil {
+	if err := appendRec(j, rec("job-000003", "accepted", "")); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -211,7 +276,7 @@ func TestConcurrentAppend(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r := rec(fmt.Sprintf("job-%d-%d", w, i), "running", "")
-				if err := j.Append(r); err != nil {
+				if err := appendRec(j, r); err != nil {
 					t.Error(err)
 					return
 				}
@@ -246,7 +311,7 @@ func TestAppendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	if err := j.Append(rec("a", "b", "")); err == nil {
+	if err := j.Append("a", "b", nil); err == nil {
 		t.Error("append after close succeeded")
 	}
 	if err := j.Sync(); err == nil {

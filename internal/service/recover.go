@@ -13,14 +13,17 @@ import (
 
 // The durable job journal records one entry per lifecycle transition:
 //
-//	accepted  (Submit)   key, fingerprint, module, normalized options, the
-//	                     re-parseable submission source, and how the job was
-//	                     satisfied (fresh primary / cache hit / coalesced)
+//	accepted  (Submit)   key, module, normalized options and how the job was
+//	                     satisfied (fresh primary / cache hit / coalesced);
+//	                     primaries and coalesced duplicates add the
+//	                     fingerprint and the re-parseable submission source,
+//	                     while a cache hit, terminal at acceptance, names the
+//	                     job whose done record holds its bytes instead
 //	running   (worker)   the job left the queue
 //	done      (worker)   the serialized report — inline for primaries, a
-//	                     primary reference for cache hits and coalesced
-//	                     duplicates (their bytes are the primary's bytes,
-//	                     which is exactly the invariant replay preserves)
+//	                     primary reference for coalesced duplicates (their
+//	                     bytes are the primary's bytes, which is exactly the
+//	                     invariant replay preserves)
 //	failed    (worker)   the failure message
 //
 // Replay at startup (New with Config.JournalPath) folds the records into
@@ -29,6 +32,11 @@ import (
 // and non-terminal jobs are either re-enqueued (Config.Resume, queued jobs
 // with a journaled source) or honestly marked failed as interrupted. Torn
 // tails were already discarded and counted by journal.Open.
+//
+// Journals written before keys addressed the exact request still replay:
+// their cache hits carry a source and a done record of their own, and their
+// fingerprint-derived keys are recomputed from the journaled source
+// wherever a key reaches the cache or the in-flight table.
 
 type acceptedData struct {
 	Key         string     `json:"key"`
@@ -43,6 +51,21 @@ type acceptedData struct {
 	Top         string     `json:"top,omitempty"`
 }
 
+func (a *acceptedData) source() Source {
+	return Source{Bench: a.Bench, Verilog: a.Verilog, Top: a.Top}
+}
+
+// requestKey is the job's result-cache key: the journaled key, or, for a
+// fingerprint-derived key from an older journal, the key of its journaled
+// request. A job journaled without a source keeps its key, and its cache
+// entry never hits.
+func (a *acceptedData) requestKey() string {
+	if len(a.Key) == requestKeyLen || a.source() == (Source{}) {
+		return a.Key
+	}
+	return requestKey(a.source(), a.Opts)
+}
+
 type doneData struct {
 	Report      json.RawMessage `json:"report,omitempty"`
 	Primary     string          `json:"primary,omitempty"` // job carrying the bytes
@@ -53,49 +76,15 @@ type failedData struct {
 	Error string `json:"error"`
 }
 
-// journalAppend writes one record, counting (never failing on) append
-// errors: a full disk costs durability, not availability.
-func (s *Server) journalAppend(jobID, event string, data any) {
-	if s.journal == nil {
-		return
-	}
-	var raw json.RawMessage
-	if data != nil {
-		enc, err := json.Marshal(data)
-		if err != nil {
-			s.noteJournalError()
-			return
-		}
-		raw = enc
-	}
-	if err := s.journal.Append(journal.Record{Job: jobID, Event: event, Data: raw}); err != nil {
-		s.noteJournalError()
-	}
-}
-
-func (s *Server) noteJournalError() {
-	s.mu.Lock()
-	s.counters.JournalErrors++
-	s.mu.Unlock()
-}
-
-// journalAppendLocked is journalAppend for call sites already holding the
-// server mutex (admission-time records, replay-time repairs). The append is
-// plain file I/O under the journal's own leaf lock.
+// journalAppendLocked writes one record, counting (never failing on) append
+// errors: a full disk costs durability, not availability. Callers hold the
+// server mutex; the append is plain file I/O under the journal's own leaf
+// lock.
 func (s *Server) journalAppendLocked(jobID, event string, data any) {
 	if s.journal == nil {
 		return
 	}
-	var raw json.RawMessage
-	if data != nil {
-		enc, err := json.Marshal(data)
-		if err != nil {
-			s.counters.JournalErrors++
-			return
-		}
-		raw = enc
-	}
-	if err := s.journal.Append(journal.Record{Job: jobID, Event: event, Data: raw}); err != nil {
+	if err := s.journal.Append(jobID, event, data); err != nil {
 		s.counters.JournalErrors++
 	}
 }
@@ -151,6 +140,10 @@ func (s *Server) replayJournal(records []journal.Record, torn int) {
 			// skew, not a tear; the job is kept and will fail honestly below
 			// for lack of a source.
 			_ = json.Unmarshal(rec.Data, &j.acc)
+			if j.acc.Cached && j.acc.CacheFrom != "" {
+				j.state = StateDone // a hit is terminal at acceptance
+				j.done = &doneData{Primary: j.acc.CacheFrom}
+			}
 			byID[rec.Job] = j
 			order = append(order, j)
 		case "running":
@@ -203,10 +196,12 @@ func (s *Server) replayJournal(records []journal.Record, torn int) {
 			}
 			s.registerLocked(job)
 			s.counters.JobsDone++
-			// Re-seed the cache from primaries (inline bytes, key intact) so
-			// the restarted daemon answers repeats in O(1) again.
-			if len(j.done.Report) > 0 && !j.done.Interrupted && j.acc.Key != "" {
-				s.cache.put(j.acc.Key, job.ID, report)
+			// Re-seed the cache from primaries (inline bytes) so the
+			// restarted daemon answers repeats in O(1) again.
+			if len(j.done.Report) > 0 && !j.done.Interrupted {
+				if key := j.acc.requestKey(); key != "" {
+					s.cache.put(cacheEntry{key: key, origin: job.ID, module: job.Module, report: report})
+				}
 			}
 			rep.Restored++
 		case StateFailed:
@@ -268,7 +263,7 @@ func (s *Server) restoreFailedLocked(j *replJob, msg string) {
 // resumeLocked re-enqueues one journal-queued job from its journaled
 // source. Duplicate keys coalesce exactly as live submissions do.
 func (s *Server) resumeLocked(j *replJob) bool {
-	src := Source{Bench: j.acc.Bench, Verilog: j.acc.Verilog, Top: j.acc.Top}
+	src := j.acc.source()
 	if src == (Source{}) {
 		return false
 	}
@@ -278,7 +273,7 @@ func (s *Server) resumeLocked(j *replJob) bool {
 	}
 	job := &Job{
 		ID:          j.id,
-		Key:         j.acc.Key,
+		Key:         j.acc.requestKey(),
 		Fingerprint: j.acc.Fingerprint,
 		Module:      j.acc.Module,
 		State:       StateQueued,
@@ -324,17 +319,18 @@ func closedChan() chan struct{} {
 	return ch
 }
 
-// Source is the re-parseable text behind a submission, journaled alongside
-// the accepted record so -resume can re-enqueue a queued job after a crash.
-// Exactly one of Bench or Verilog is set (Top optionally qualifies Verilog).
+// Source is the text of one submission: Submit keys the request on it,
+// parses it on a miss and journals it for jobs that may run, so -resume can
+// re-enqueue a queued job after a crash. Exactly one of Bench or Verilog is
+// set (Top optionally qualifies Verilog).
 type Source struct {
 	Bench   string
 	Verilog string
 	Top     string
 }
 
-// parseSource loads a journaled submission source the same way the HTTP
-// layer parses a live one.
+// parseSource loads a submission's design, for a live miss and for a
+// resumed job alike.
 func parseSource(src Source) (*gatewords.Design, error) {
 	switch {
 	case src.Verilog != "" && src.Bench != "":

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -305,15 +306,7 @@ func TestBodyTooLarge(t *testing.T) {
 // appendRecord journals one record, failing the test on error.
 func appendRecord(t *testing.T, j *journal.Journal, job, event string, data any) {
 	t.Helper()
-	rec := journal.Record{Job: job, Event: event}
-	if data != nil {
-		enc, err := json.Marshal(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Data = enc
-	}
-	if err := j.Append(rec); err != nil {
+	if err := j.Append(job, event, data); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -328,7 +321,7 @@ func TestJournalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveKey := cacheKey(d.Fingerprint(), JobOptions{})
+	liveKey := requestKey(Source{Bench: "b03a"}, JobOptions{})
 	fakeReport := json.RawMessage(`{"module":"fake","words":[]}`)
 
 	j, _, _, err := journal.Open(path)
@@ -394,6 +387,103 @@ func TestJournalReplay(t *testing.T) {
 	}
 }
 
+// previousFormatKey is the cache key journals carried before keys addressed
+// the exact request: the design fingerprint, then an fnv-1a over the JSON
+// of the normalized options.
+func previousFormatKey(fp string, o JobOptions) string {
+	o.Workers = 0
+	enc, _ := json.Marshal(o) // struct of scalars; cannot fail
+	h := uint64(14695981039346656037)
+	for _, b := range enc {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return fmt.Sprintf("%s-%016x", fp, h)
+}
+
+// TestJournalReplayPreviousFormat replays a journal written before keys
+// addressed the exact request: fingerprint-derived keys, and a cache hit
+// that carries its source inline and has a done record of its own. Every
+// done job is restored byte-identically, the queued job resumes and
+// completes, and each completed primary's cache entry is re-keyed from its
+// journaled source, so an exact repeat hits again.
+func TestJournalReplayPreviousFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	fp := func(name string) string {
+		d, err := gatewords.GenerateBenchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Fingerprint()
+	}
+	src := benchVerilog(t, "b03a")
+	fakeReport := json.RawMessage(`{"module":"b03a","words":[]}`)
+	primary := acceptedData{
+		Key: previousFormatKey(fp("b03a"), JobOptions{}), Fingerprint: fp("b03a"), Module: "b03a", Verilog: src,
+	}
+	hit := primary
+	hit.Cached = true
+	queuedOpts := JobOptions{Workers: 2}
+
+	j, _, _, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRecord(t, j, "job-000001", "accepted", primary)
+	appendRecord(t, j, "job-000001", "running", nil)
+	appendRecord(t, j, "job-000001", "done", doneData{Report: fakeReport})
+	appendRecord(t, j, "job-000002", "accepted", hit)
+	appendRecord(t, j, "job-000002", "done", doneData{Primary: "job-000001"})
+	appendRecord(t, j, "job-000003", "accepted", acceptedData{
+		Key: previousFormatKey(fp("b04a"), queuedOpts), Fingerprint: fp("b04a"), Module: "b04a",
+		Opts: queuedOpts, Bench: "b04a",
+	})
+	j.Close()
+
+	s, ts := newTestServer(t, Config{Workers: 1, JournalPath: path, Resume: true})
+	if rec := s.Recovery(); rec.Restored != 2 || rec.Resumed != 1 || rec.Interrupted != 0 || rec.TornRecords != 0 {
+		t.Fatalf("recovery report: %+v", rec)
+	}
+	report := func(id string) []byte {
+		t.Helper()
+		job, ok := s.Lookup(id)
+		if !ok {
+			t.Fatalf("%s missing after replay", id)
+		}
+		<-job.Done
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if job.State != StateDone {
+			t.Fatalf("%s ended %q: %s", id, job.State, job.Err)
+		}
+		return job.Report
+	}
+	for _, id := range []string{"job-000001", "job-000002"} {
+		if got := report(id); !bytes.Equal(got, fakeReport) {
+			t.Fatalf("%s not byte-identical after replay: %q", id, got)
+		}
+	}
+	resumed := report("job-000003")
+	if len(resumed) == 0 {
+		t.Fatal("resumed job has no report")
+	}
+
+	for _, tc := range []struct {
+		req  SubmitRequest
+		want []byte
+	}{
+		{SubmitRequest{Verilog: src}, fakeReport},
+		{SubmitRequest{Bench: "b04a"}, resumed},
+	} {
+		st, code := postJob(t, ts, tc.req)
+		if code != http.StatusOK || !st.Cached {
+			t.Fatalf("repeat of a journaled request missed the cache: status %d, %+v", code, st)
+		}
+		if got := report(st.ID); !bytes.Equal(got, tc.want) {
+			t.Fatalf("%s served %q, want the journaled primary's bytes", st.ID, got)
+		}
+	}
+}
+
 // TestJournalSurvivesRestartChain pins the crash-restart-crash-restart
 // sequence the chaos harness automates: a second replay must serve exactly
 // what the first daemon served, byte for byte, including records the first
@@ -407,22 +497,32 @@ func TestJournalSurvivesRestartChain(t *testing.T) {
 	if first.Status != StateDone {
 		t.Fatalf("first life: %+v", first)
 	}
+	// A cache hit journals one sourceless record that names the primary.
+	hit, code := postJob(t, ts1, SubmitRequest{Bench: "b03a"})
+	if code != http.StatusOK || !hit.Cached {
+		t.Fatalf("first life duplicate: status %d, %+v", code, hit)
+	}
 	ts1.Close()
 	s1.Close()
 
 	s2, ts2 := newTestServer(t, Config{Workers: 1, JournalPath: path})
-	if rec := s2.Recovery(); rec.Restored != 1 {
+	if rec := s2.Recovery(); rec.Restored != 2 {
 		t.Fatalf("second life recovery: %+v", rec)
 	}
-	replayed := getJob(t, ts2, st.ID)
-	if replayed.Status != StateDone || !bytes.Equal(replayed.Report, first.Report) {
-		t.Fatal("second life does not serve the first life's bytes")
+	for _, id := range []string{st.ID, hit.ID} {
+		replayed := getJob(t, ts2, id)
+		if replayed.Status != StateDone || !bytes.Equal(replayed.Report, first.Report) {
+			t.Fatalf("second life does not serve the first life's bytes for %s", id)
+		}
+	}
+	if again, code := postJob(t, ts2, SubmitRequest{Bench: "b03a"}); code != http.StatusOK || !again.Cached {
+		t.Fatalf("second life duplicate missed the re-seeded cache: status %d, %+v", code, again)
 	}
 	ts2.Close()
 	s2.Close()
 
 	s3, _ := newTestServer(t, Config{Workers: 1, JournalPath: path})
-	if rec := s3.Recovery(); rec.Restored != 1 || rec.Interrupted != 0 || rec.TornRecords != 0 {
+	if rec := s3.Recovery(); rec.Restored != 3 || rec.Interrupted != 0 || rec.TornRecords != 0 {
 		t.Fatalf("third life recovery: %+v", rec)
 	}
 }

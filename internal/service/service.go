@@ -12,18 +12,24 @@
 // contract under heavy traffic.
 //
 // Repeat submissions are the common case a service sees, so results are
-// content-addressed: the cache key is the design's canonical fingerprint
-// (declaration-order-independent, see netlist.Fingerprint) combined with
-// the normalized job options. A duplicate of a completed job is served from
-// the cache in O(1) with byte-identical report JSON; a duplicate of a job
-// still queued or running coalesces onto it and shares its one pipeline
-// execution. GET /metrics serves the server counters plus the merged
-// observability recorders of every completed job.
+// content-addressed: the cache key is a SHA-256 of the exact request (bench
+// name, top and Verilog text, plus the normalized job options), looked up
+// before the source is parsed. A duplicate of a completed job is served from
+// the cache with byte-identical report JSON at the cost of one hash; a
+// duplicate of a job still queued or running coalesces onto it and shares
+// its one pipeline execution. Because the key covers the exact text, a hit
+// never serves a report that a fresh run of its own request would not give
+// (§2.2 grouping reads declaration order, so a reordered file is a
+// different request). GET /metrics serves the server counters plus the
+// merged observability recorders of every completed job.
 package service
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -177,33 +183,44 @@ func (o JobOptions) facadeOptions(ctx context.Context, observer *gatewords.Obser
 	}, nil
 }
 
-// cacheKey combines the design fingerprint with every option that can
-// change the report. Workers is zeroed (no output effect); TimeoutMS has
-// already been normalized to the effective deadline. The options tuple is
-// hashed through its canonical JSON encoding (struct field order is fixed),
-// following the same content-addressing idiom as the fingerprint itself.
-func cacheKey(fingerprint string, o JobOptions) string {
+// requestKey is the result-cache key of one submission: a SHA-256 over the
+// exact request, as 64 hex digits. It hashes the bench name, top and
+// Verilog text, each length-prefixed, then the canonical JSON encoding of
+// the normalized options (struct field order is fixed): Workers is zeroed,
+// as it never changes the output, and TimeoutMS has already been resolved
+// to the effective deadline. The key addresses report bytes served to other
+// clients, hence a collision-resistant hash. The text goes through a small
+// buffer, so hashing a submission does not copy its whole source.
+func requestKey(src Source, o JobOptions) string {
 	o.Workers = 0
 	enc, _ := json.Marshal(o) // struct of scalars; cannot fail
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range enc {
-		h = (h ^ uint64(b)) * prime64
+	h := sha256.New()
+	buf := make([]byte, 4096)
+	for _, field := range []string{src.Bench, src.Top, src.Verilog} {
+		h.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(len(field))))
+		for len(field) > 0 {
+			n := copy(buf, field)
+			h.Write(buf[:n])
+			field = field[n:]
+		}
 	}
-	return fmt.Sprintf("%s-%016x", fingerprint, h)
+	h.Write(enc)
+	return hex.EncodeToString(h.Sum(nil))
 }
+
+// requestKeyLen is the length of every requestKey; replay tells the
+// fingerprint-derived keys of earlier journals by their other length.
+const requestKeyLen = 2 * sha256.Size
 
 // Job is one identification submission. All mutable fields are guarded by
 // the Server's mutex; Done is closed exactly once when the job reaches a
 // terminal state.
 type Job struct {
-	ID  string
+	ID string
+	// Key is the result-cache key of the job's exact request (requestKey).
 	Key string
 	// Fingerprint is the design's canonical netlist fingerprint — the
-	// quarantine breaker's key.
+	// quarantine breaker's key. Cache hits carry none: nothing was parsed.
 	Fingerprint string
 	// Module is the design's module name (the bench profile name for bench
 	// submissions).
@@ -413,88 +430,47 @@ type submitError struct {
 
 func (e *submitError) Error() string { return e.msg }
 
-// Submit admits one parsed design as a job. Equivalent to SubmitSource with
-// no re-parseable source: with a journal configured, such a job cannot be
-// resumed after a crash, only reported as interrupted.
-func (s *Server) Submit(d *gatewords.Design, opts JobOptions) (*Job, error) {
-	return s.SubmitSource(d, opts, Source{})
-}
-
-// SubmitSource admits one parsed design as a job, journaling src alongside
-// the accepted record so Config.Resume can re-enqueue it after a crash. The
-// design must not be mutated by the caller afterwards. The returned job is
-// already terminal for cache hits (State done, Cached set).
+// Submit admits one submission as a job. The returned job is already
+// terminal for cache hits (State done, Cached set).
 //
-// Admission runs in one critical section, in deliberate order: cache hits
-// and coalescing first (they consume no worker, so overload must not refuse
-// them), then the quarantine breaker (a poison input is refused before it
-// can occupy a queue slot), then admission control (deadline feasibility and
-// cost shedding), then the bounded queue itself.
-func (s *Server) SubmitSource(d *gatewords.Design, opts JobOptions, src Source) (*Job, error) {
+// Hits and coalescing are keyed on the exact request, so they are answered
+// in a first critical section before anything is parsed. Only a miss
+// parses the source and fingerprints the design, outside the mutex; a
+// second critical section then runs, in deliberate order: hits and
+// coalescing again (an identical request may have been admitted while this
+// one parsed; they consume no worker, so overload must not refuse them),
+// the quarantine breaker (a poison input is refused before it can occupy a
+// queue slot), admission control (deadline feasibility and cost shedding),
+// and the bounded queue itself. A primary's accepted record journals src,
+// so Config.Resume can re-enqueue it after a crash.
+func (s *Server) Submit(src Source, opts JobOptions) (*Job, error) {
 	if _, err := opts.lintMode(); err != nil {
 		return nil, &submitError{status: 400, msg: err.Error()}
 	}
 	timeout := s.effectiveTimeout(time.Duration(opts.TimeoutMS) * time.Millisecond)
 	opts.TimeoutMS = timeout.Milliseconds()
+	key := requestKey(src, opts)
+
+	s.mu.Lock()
+	job, err := s.answerLocked(key, opts, src)
+	s.mu.Unlock()
+	if job != nil || err != nil {
+		return job, err
+	}
+
+	d, err := parseSource(src)
+	if err != nil {
+		return nil, &submitError{status: 400, msg: err.Error()}
+	}
 	fp := d.Fingerprint()
-	key := cacheKey(fp, opts)
 	gates := d.Stats().Gates
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, &submitError{status: 503, msg: "server is shutting down"}
-	}
-	if s.draining {
-		return nil, &submitError{status: 503, msg: "server is draining", retryAfter: 1}
-	}
-	s.seq++
-	job := &Job{
-		ID:          fmt.Sprintf("job-%06d", s.seq),
-		Key:         key,
-		Fingerprint: fp,
-		Module:      d.Name(),
-		Done:        make(chan struct{}),
-		opts:        opts,
-		timeout:     timeout,
-	}
-	accepted := acceptedData{
-		Key:         key,
-		Fingerprint: fp,
-		Module:      job.Module,
-		Opts:        opts,
-		Bench:       src.Bench,
-		Verilog:     src.Verilog,
-		Top:         src.Top,
-	}
-
-	if origin, report, ok := s.cache.get(key); ok {
-		job.State = StateDone
-		job.Cached = true
-		job.Report = report
-		close(job.Done)
-		s.counters.CacheHits++
-		s.registerLocked(job)
-		s.counters.JobsDone++
-		accepted.Cached = true
-		s.journalAppendLocked(job.ID, "accepted", accepted)
-		// The report bytes already live in the origin job's done record;
-		// reference them instead of re-journaling them per hit.
-		s.journalAppendLocked(job.ID, "done", doneData{Primary: origin})
-		return job, nil
-	}
-	if primary, ok := s.inflight[key]; ok {
-		job.State = StateQueued
-		job.CoalescedWith = primary.ID
-		primary.waiters = append(primary.waiters, job)
-		s.counters.JobsCoalesced++
-		s.registerLocked(job)
-		accepted.Coalesced = primary.ID
-		s.journalAppendLocked(job.ID, "accepted", accepted)
-		return job, nil
+	if job, err := s.answerLocked(key, opts, src); job != nil || err != nil {
+		return job, err
 	}
 	if qs := s.breaker.refuse(fp); qs != nil {
-		s.seq--
 		s.counters.QuarantineRejections++
 		return nil, &submitError{
 			status:     422,
@@ -503,16 +479,24 @@ func (s *Server) SubmitSource(d *gatewords.Design, opts JobOptions, src Source) 
 			doc:        qs,
 		}
 	}
+	job = &Job{
+		Key:         key,
+		Fingerprint: fp,
+		Module:      d.Name(),
+		State:       StateQueued,
+		Done:        make(chan struct{}),
+		opts:        opts,
+		timeout:     timeout,
+		design:      d,
+	}
 	if se := s.admitLocked(job, gates); se != nil {
-		s.seq--
 		s.counters.JobsShed++
 		return nil, se
 	}
-	// First sighting of this key: a real execution. Admission and the
-	// enqueue are one critical section, so the queue can never hold a job
-	// the store does not know.
-	job.State = StateQueued
-	job.design = d
+	// A real execution. Admission and the enqueue are one critical section,
+	// so the queue can never hold a job the store does not know.
+	s.seq++
+	job.ID = jobID(s.seq)
 	select {
 	case s.queue <- job:
 	default:
@@ -530,9 +514,72 @@ func (s *Server) SubmitSource(d *gatewords.Design, opts JobOptions, src Source) 
 	s.counters.JobsQueued++
 	s.inflight[key] = job
 	s.registerLocked(job)
-	s.journalAppendLocked(job.ID, "accepted", accepted)
+	s.journalAppendLocked(job.ID, "accepted", acceptedData{
+		Key: key, Fingerprint: fp, Module: job.Module, Opts: opts,
+		Bench: src.Bench, Verilog: src.Verilog, Top: src.Top,
+	})
 	return job, nil
 }
+
+// answerLocked settles a submission without an execution of its own where
+// it can: it refuses it while the server is closed or draining, completes a
+// cache hit on the spot, and attaches a duplicate of a queued or running job
+// to that job. It returns nil, nil when the request needs a run. Caller
+// holds mu.
+func (s *Server) answerLocked(key string, opts JobOptions, src Source) (*Job, error) {
+	if s.closed {
+		return nil, &submitError{status: 503, msg: "server is shutting down"}
+	}
+	if s.draining {
+		return nil, &submitError{status: 503, msg: "server is draining", retryAfter: 1}
+	}
+	if e, ok := s.cache.get(key); ok {
+		s.seq++
+		job := &Job{
+			ID:     jobID(s.seq),
+			Key:    key,
+			Module: e.module,
+			State:  StateDone,
+			Cached: true,
+			Report: e.report,
+			Done:   closedChan(),
+			opts:   opts,
+		}
+		s.counters.CacheHits++
+		s.registerLocked(job)
+		s.counters.JobsDone++
+		// A hit is terminal at acceptance: its one record carries no source
+		// and names the job whose done record holds the report bytes.
+		s.journalAppendLocked(job.ID, "accepted", acceptedData{
+			Key: key, Module: e.module, Opts: opts, Cached: true, CacheFrom: e.origin,
+		})
+		return job, nil
+	}
+	if primary, ok := s.inflight[key]; ok {
+		s.seq++
+		job := &Job{
+			ID:            jobID(s.seq),
+			Key:           key,
+			Fingerprint:   primary.Fingerprint,
+			Module:        primary.Module,
+			State:         StateQueued,
+			CoalescedWith: primary.ID,
+			Done:          make(chan struct{}),
+			opts:          opts,
+		}
+		primary.waiters = append(primary.waiters, job)
+		s.counters.JobsCoalesced++
+		s.registerLocked(job)
+		s.journalAppendLocked(job.ID, "accepted", acceptedData{
+			Key: key, Fingerprint: primary.Fingerprint, Module: primary.Module, Opts: opts,
+			Coalesced: primary.ID, Bench: src.Bench, Verilog: src.Verilog, Top: src.Top,
+		})
+		return job, nil
+	}
+	return nil, nil
+}
+
+func jobID(seq int64) string { return fmt.Sprintf("job-%06d", seq) }
 
 func (s *Server) registerLocked(job *Job) {
 	s.jobs[job.ID] = job
@@ -614,8 +661,8 @@ func (s *Server) runJob(job *Job) {
 		s.counters.JobsQueued--
 		s.counters.JobsRunning++
 		s.counters.PipelineRuns++
+		s.journalAppendLocked(job.ID, "running", nil)
 	}()
-	s.journalAppend(job.ID, "running", nil)
 
 	observer := gatewords.NewObserver()
 	start := time.Now()
@@ -649,7 +696,7 @@ func (s *Server) runJob(job *Job) {
 	if err == nil && !interrupted {
 		// Interrupted (deadline-truncated) reports are wall-clock artifacts,
 		// not properties of the design; they are served but never cached.
-		s.cache.put(job.Key, job.ID, report)
+		s.cache.put(cacheEntry{key: job.Key, origin: job.ID, module: job.Module, report: report})
 	}
 	// Journal the terminal transitions before finishLocked closes the Done
 	// channels: a client that has seen a result must find it after a crash.

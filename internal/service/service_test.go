@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -122,33 +123,6 @@ func benchVerilog(t *testing.T, name string) string {
 	return buf.String()
 }
 
-// reorderGateLines reverses the order of the gate-instantiation lines,
-// leaving declarations in place: the same circuit, re-declared in a
-// different file order.
-func reorderGateLines(t *testing.T, src string) string {
-	t.Helper()
-	lines := strings.Split(src, "\n")
-	var gateIdx []int
-	for i, l := range lines {
-		trimmed := strings.TrimSpace(l)
-		if trimmed == "" || strings.HasPrefix(trimmed, "module") ||
-			strings.HasPrefix(trimmed, "input") || strings.HasPrefix(trimmed, "output") ||
-			strings.HasPrefix(trimmed, "wire") || strings.HasPrefix(trimmed, "endmodule") {
-			continue
-		}
-		if strings.Contains(trimmed, "(") {
-			gateIdx = append(gateIdx, i)
-		}
-	}
-	if len(gateIdx) < 2 {
-		t.Fatalf("no gate lines found to reorder")
-	}
-	for i, j := 0, len(gateIdx)-1; i < j; i, j = i+1, j-1 {
-		lines[gateIdx[i]], lines[gateIdx[j]] = lines[gateIdx[j]], lines[gateIdx[i]]
-	}
-	return strings.Join(lines, "\n")
-}
-
 func TestSubmitBenchAndPoll(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	st, code := postJob(t, ts, SubmitRequest{Bench: "b03a", Options: JobOptions{Evaluate: true}})
@@ -216,25 +190,28 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
-// TestCacheCanonicalUnderReordering pins that the cache key survives
-// gate-declaration reordering: the same circuit re-emitted in a different
-// file order hits the first submission's cache entry.
-func TestCacheCanonicalUnderReordering(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	src := benchVerilog(t, "b03a")
-	reordered := reorderGateLines(t, src)
-	if src == reordered {
-		t.Fatal("reordering produced identical source")
+// TestCacheDisabled pins that a negative CacheEntries turns the cache off:
+// a duplicate submitted after its original completed is accepted as a new
+// job, runs the pipeline again and serves the same report.
+func TestCacheDisabled(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
+	first, _ := postJob(t, ts, SubmitRequest{Bench: "b03a"})
+	a := awaitJob(t, ts, first.ID)
+	second, code := postJob(t, ts, SubmitRequest{Bench: "b03a"})
+	if code != http.StatusAccepted || second.Cached {
+		t.Fatalf("duplicate with the cache off: status %d, %+v", code, second)
 	}
-
-	first, _ := postJob(t, ts, SubmitRequest{Verilog: src})
-	awaitJob(t, ts, first.ID)
-	second, code := postJob(t, ts, SubmitRequest{Verilog: reordered})
-	if code != http.StatusOK || !second.Cached {
-		t.Fatalf("reordered duplicate missed the cache: status %d, %+v", code, second)
+	b := awaitJob(t, ts, second.ID)
+	if a.Status != StateDone || b.Status != StateDone {
+		t.Fatalf("jobs ended %q and %q", a.Status, b.Status)
 	}
-	if first.Key != second.Key {
-		t.Errorf("reordered keys differ: %s vs %s", first.Key, second.Key)
+	if !bytes.Equal(normalizedReport(t, a.Report), normalizedReport(t, b.Report)) {
+		t.Error("the second run's report differs from the first's")
+	}
+	m, _ := getMetrics(t, ts)
+	if m.Server.PipelineRuns != 2 || m.Server.CacheHits != 0 || m.Server.CacheEntries != 0 {
+		t.Errorf("pipeline_runs/cache_hits/cache_entries = %d/%d/%d, want 2/0/0",
+			m.Server.PipelineRuns, m.Server.CacheHits, m.Server.CacheEntries)
 	}
 }
 
@@ -445,10 +422,9 @@ func TestConcurrentSubmissions(t *testing.T) {
 		{Bench: "b08a"}, {Bench: "b03a"}, {Bench: "b08a", Options: JobOptions{VerifyReduction: true}},
 		{Bench: "b04a"}, {Bench: "b05a"}, {Verilog: src},
 	}
-	// The inline Verilog is a round-trip of generated b03a, so it shares a
-	// key with the bench submissions of b03a — fingerprinting sees through
-	// the different submission routes.
-	const distinctKeys = 6 // b03a (bench + verilog), b08a, b07a, b08a+verify, b04a, b05a
+	// The inline Verilog is a round-trip of generated b03a, but the key is
+	// the exact request, so it and bench b03a are different requests.
+	const distinctKeys = 7 // b03a, b03a verilog, b08a, b07a, b08a+verify, b04a, b05a
 
 	type outcome struct {
 		st   JobStatus
@@ -532,28 +508,30 @@ func TestListJobs(t *testing.T) {
 
 // TestCacheLRUEviction pins the eviction policy at the unit level.
 func TestCacheLRUEviction(t *testing.T) {
+	entry := func(key string) cacheEntry {
+		return cacheEntry{key: key, origin: "job-" + key, module: "m" + key, report: []byte(strings.ToUpper(key))}
+	}
 	c := newResultCache(2)
-	c.put("a", "job-a", []byte("A"))
-	c.put("b", "job-b", []byte("B"))
-	if _, _, ok := c.get("a"); !ok { // touch a: b becomes LRU
+	c.put(entry("a"))
+	c.put(entry("b"))
+	if _, ok := c.get("a"); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", "job-c", []byte("C"))
-	if _, _, ok := c.get("b"); ok {
+	c.put(entry("c"))
+	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if origin, v, ok := c.get("a"); !ok || string(v) != "A" || origin != "job-a" {
-		t.Error("a lost")
-	}
-	if origin, v, ok := c.get("c"); !ok || string(v) != "C" || origin != "job-c" {
-		t.Error("c lost")
+	for _, key := range []string{"a", "c"} {
+		if e, ok := c.get(key); !ok || !reflect.DeepEqual(e, entry(key)) {
+			t.Errorf("%s lost: %+v", key, e)
+		}
 	}
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
 	}
 	disabled := newResultCache(-1)
-	disabled.put("x", "job-x", []byte("X"))
-	if _, _, ok := disabled.get("x"); ok || disabled.len() != 0 {
+	disabled.put(entry("x"))
+	if _, ok := disabled.get("x"); ok || disabled.len() != 0 {
 		t.Error("disabled cache stored an entry")
 	}
 }
@@ -572,15 +550,11 @@ func TestSubmitAfterClose(t *testing.T) {
 }
 
 // TestSubmitDirect exercises the library-level Submit entry point, which
-// cmd/wordidd shares with the HTTP layer.
+// the HTTP layer calls.
 func TestSubmitDirect(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	defer s.Close()
-	d, err := gatewords.GenerateBenchmark("b03a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := s.Submit(d, JobOptions{})
+	job, err := s.Submit(Source{Bench: "b03a"}, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +565,7 @@ func TestSubmitDirect(t *testing.T) {
 	if state != StateDone || len(rep) == 0 {
 		t.Fatalf("job state %q, %d report bytes", state, len(rep))
 	}
-	if _, err := s.Submit(d, JobOptions{Lint: "bogus"}); err == nil {
+	if _, err := s.Submit(Source{Bench: "b03a"}, JobOptions{Lint: "bogus"}); err == nil {
 		t.Error("bogus lint mode accepted")
 	}
 }
