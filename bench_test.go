@@ -233,8 +233,10 @@ func BenchmarkConeHashing(b *testing.B) {
 	}
 }
 
-// BenchmarkReduceApply measures one constant-propagation pass on b15 from a
-// decode net.
+// BenchmarkReduceApply measures reduce.Apply, the whole-netlist path behind
+// Reduce, on b15 from a decode net: a fresh propagator, which reads the
+// netlist's own records, then one propagation pass to fixpoint through the
+// decode net's forward cone and backward implications.
 func BenchmarkReduceApply(b *testing.B) {
 	gen := generatedBench(b, "b15a")
 	nl := gen.NL
@@ -252,6 +254,7 @@ func BenchmarkReduceApply(b *testing.B) {
 		b.Fatal("no suitable pin")
 	}
 	assign := map[netlist.NetID]logic.Value{pin: logic.Zero}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := reduce.Apply(nl, assign); err != nil {

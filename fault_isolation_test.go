@@ -8,6 +8,7 @@ import (
 
 	"gatewords/internal/group"
 	"gatewords/internal/guard"
+	"gatewords/internal/obs"
 )
 
 // TestFaultIsolationB14a is the acceptance-level isolation check on the b14
@@ -110,7 +111,10 @@ func TestFaultFacadeSurfacesFailures(t *testing.T) {
 // regression: a leniently parsed netlist may carry a bad-arity gate, and
 // when an assignment trial's constant propagation reaches it, the reduce
 // layer must fail that trial with an error instead of panicking out of
-// logic.Eval. The pipeline keeps going and still reports words.
+// logic.Eval. The pipeline keeps going and still reports words. The gate
+// lies outside every trial's region, so the trial that assigns k1 fails
+// only because a netlist holding such a gate propagates whole: of the two
+// trials, one reduces.
 func TestLenientMalformedGateDoesNotPanicIdentify(t *testing.T) {
 	src, err := os.ReadFile("testdata/counter_style.v")
 	if err != nil {
@@ -124,7 +128,8 @@ func TestLenientMalformedGateDoesNotPanicIdentify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Identify(d, Options{})
+	o := NewObserver()
+	rep, err := Identify(d, Options{Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +140,9 @@ func TestLenientMalformedGateDoesNotPanicIdentify(t *testing.T) {
 	}
 	if len(rep.Words) == 0 {
 		t.Fatal("lenient netlist with one malformed gate lost all words")
+	}
+	rec := o.snapshot()
+	if trials, reductions := rec.Count(obs.CtrTrials), rec.Count(obs.CtrReductions); trials != 2 || reductions != 1 {
+		t.Fatalf("trials/reductions = %d/%d, want 2/1: the trial reaching the malformed gate must fail", trials, reductions)
 	}
 }

@@ -253,14 +253,16 @@ func Identify(nl *netlist.Netlist, opt Options) *Result {
 // apply, the builder forgets its keys and restarts its interner's numbering
 // for each multi-net group, and the trial builder, which views the
 // propagator's Reduction with an interner of its own, does the same for
-// every trial. Each is created on first use. rec is where the worker's
-// groups record: Options.Observer itself on the sequential path, a private
-// recorder merged into it after the pool drains on the parallel path (nil
-// when the run is not observed).
+// every trial. Each is created on first use. roots holds the current
+// trial's bit nets, the roots of its propagation region. rec is where the
+// worker's groups record: Options.Observer itself on the sequential path, a
+// private recorder merged into it after the pool drains on the parallel
+// path (nil when the run is not observed).
 type worker struct {
 	prop  *reduce.Propagator
 	b     *cone.Builder
 	trial *cone.Builder
+	roots []netlist.NetID
 	rec   *obs.Recorder
 }
 
@@ -518,49 +520,7 @@ func (p *pipeline) processGroup(nets []netlist.NetID) {
 	var subgroups [][]*cone.BitCone
 	p.rec.Do(p.opt.Context, obs.StageMatch, func() {
 		p.enterStage(obs.StageMatch.String())
-		if len(nets) == 1 {
-			// A one-net group is at most a one-bit verified word, and its
-			// cone is never compared with another: it needs the root check
-			// alone, not an interner, a builder or keys. resolveSubgroup
-			// reads only the net of an unkeyed one-bit subgroup.
-			if g, kind, ok := cone.RootGate(p.nl, nets[0]); ok {
-				p.result.Stats.CandidateBits++
-				subgroups = [][]*cone.BitCone{{{Net: nets[0], RootGate: g, RootKind: kind}}}
-			}
-			return
-		}
-		// One interner numbering per group: numeric KeyID order sorts
-		// subtrees, and through them the order of control signals and
-		// trials. The worker's builder, once made, is reset for each group
-		// and then hands out the IDs a fresh one would.
-		if p.b == nil {
-			p.b = cone.NewBuilder(p.nl, cone.NewInterner(), p.opt.Depth)
-		} else {
-			p.b.Reset()
-		}
-		var bits []*cone.BitCone
-		flush := func() {
-			if len(bits) > 0 {
-				subgroups = append(subgroups, bits)
-				bits = nil
-			}
-		}
-		var prev *cone.BitCone
-		for _, net := range nets {
-			bc := p.b.Bit(net)
-			if bc == nil {
-				flush()
-				prev = nil
-				continue
-			}
-			p.result.Stats.CandidateBits++
-			if prev != nil && !cone.FullMatch(prev, bc) && !cone.PartialMatch(prev, bc) {
-				flush()
-			}
-			bits = append(bits, bc)
-			prev = bc
-		}
-		flush()
+		subgroups = p.formSubgroups(nets)
 	})
 	for _, sg := range subgroups {
 		if p.cancelled() {
@@ -570,6 +530,55 @@ func (p *pipeline) processGroup(nets []netlist.NetID) {
 		p.rec.Max(obs.GaugeSubgroupBits, int64(len(sg)))
 		p.resolveSubgroup(sg)
 	}
+}
+
+// formSubgroups keys the group's bits and splits them into subgroups of
+// consecutive bits that fully or partially match their predecessor.
+func (p *pipeline) formSubgroups(nets []netlist.NetID) (subgroups [][]*cone.BitCone) {
+	if len(nets) == 1 {
+		// A one-net group is at most a one-bit verified word, and its cone
+		// is never compared with another: it needs the root check alone,
+		// not an interner, a builder or keys. resolveSubgroup reads only
+		// the net of an unkeyed one-bit subgroup.
+		if g, kind, ok := cone.RootGate(p.nl, nets[0]); ok {
+			p.result.Stats.CandidateBits++
+			subgroups = [][]*cone.BitCone{{{Net: nets[0], RootGate: g, RootKind: kind}}}
+		}
+		return subgroups
+	}
+	// One interner numbering per group: numeric KeyID order sorts subtrees,
+	// and through them the order of control signals and trials. The
+	// worker's builder, once made, is reset for each group and then hands
+	// out the IDs a fresh one would.
+	if p.b == nil {
+		p.b = cone.NewBuilder(p.nl, cone.NewInterner(), p.opt.Depth)
+	} else {
+		p.b.Reset()
+	}
+	var bits []*cone.BitCone
+	flush := func() {
+		if len(bits) > 0 {
+			subgroups = append(subgroups, bits)
+			bits = nil
+		}
+	}
+	var prev *cone.BitCone
+	for _, net := range nets {
+		bc := p.b.Bit(net)
+		if bc == nil {
+			flush()
+			prev = nil
+			continue
+		}
+		p.result.Stats.CandidateBits++
+		if prev != nil && !cone.FullMatch(prev, bc) && !cone.PartialMatch(prev, bc) {
+			flush()
+		}
+		bits = append(bits, bc)
+		prev = bc
+	}
+	flush()
+	return subgroups
 }
 
 // resolveSubgroup turns one subgroup of partially/fully matching bits into
@@ -878,6 +887,21 @@ func (p *pipeline) coneScopeSize(bits []*cone.BitCone) int {
 	return len(scope)
 }
 
+// propagate applies one assignment on the worker's propagator, scoped to
+// the region of the subgroup's bits: the combinational fanin of the bits
+// and of the assigned nets. The reduction is exact on that region, which
+// holds every net the trial builder and VerifyCones read.
+func (p *pipeline) propagate(bits []*cone.BitCone, assign map[netlist.NetID]logic.Value) (*reduce.Reduction, error) {
+	if p.prop == nil {
+		p.prop = reduce.NewPropagator(p.nl)
+	}
+	p.roots = p.roots[:0]
+	for _, bc := range bits {
+		p.roots = append(p.roots, bc.Net)
+	}
+	return p.prop.ApplyScoped(assign, p.roots, p.rec)
+}
+
 // tryAssignment propagates one assignment and regroups the subgroup's bits
 // by full similarity on the reduced circuit. It returns nil for infeasible
 // (contradictory) assignments or ones that constant-fold a bit away.
@@ -887,10 +911,7 @@ func (p *pipeline) coneScopeSize(bits []*cone.BitCone) int {
 // an interner of its own, and it is reset before every trial: its KeyIDs
 // never leave the trial, and the group's interner does not grow with them.
 func (p *pipeline) tryAssignment(bits []*cone.BitCone, assign map[netlist.NetID]logic.Value) *trialResult {
-	if p.prop == nil {
-		p.prop = reduce.NewPropagator(p.nl)
-	}
-	red, err := p.prop.Apply(assign, p.rec)
+	red, err := p.propagate(bits, assign)
 	if err != nil {
 		if p.opt.CollectTrace {
 			p.tracef("reduce conflict: %v", err)

@@ -50,8 +50,11 @@ type ExtraDriver struct {
 // one pass. The first driver of a net stays authoritative; later drivers are
 // recorded as ExtraDrivers. Out-of-range net IDs are kept on the gate but
 // not cross-indexed. The returned gate is real: it appears in GateCount and
-// file order.
+// file order. A gate AddGate would refuse makes the netlist Irregular.
 func (nl *Netlist) AddGateLenient(name string, kind logic.Kind, output NetID, inputs ...NetID) GateID {
+	if nl.checkGate(name, kind, output, inputs) != nil {
+		nl.irregular = true
+	}
 	id := GateID(len(nl.gates))
 	nl.gates = append(nl.gates, Gate{Name: name, Kind: kind, Inputs: nl.carvePins(inputs), Output: output})
 	if nl.validNet(output) {
@@ -68,6 +71,12 @@ func (nl *Netlist) AddGateLenient(name string, kind logic.Kind, output NetID, in
 	}
 	return id
 }
+
+// Irregular reports whether AddGateLenient has accepted a gate that AddGate
+// would refuse. A netlist that is not irregular has one driver per driven
+// net, and every gate has a valid kind, a valid arity and in-range pins, so
+// it can be evaluated. Clone keeps the flag.
+func (nl *Netlist) Irregular() bool { return nl.irregular }
 
 // ExtraDrivers returns the multi-driver records accumulated by lenient
 // construction, in insertion order. The slice is shared; callers must not

@@ -99,3 +99,40 @@ func TestCloneCopiesExtraDrivers(t *testing.T) {
 		t.Error("clone shares extraDrivers storage with original")
 	}
 }
+
+// TestIrregularMarksEveryRefusal pins the flag that lets constant
+// propagation trust the netlist's structure: a lenient gate AddGate would
+// accept leaves it clear, each reason AddGate refuses a gate sets it, and
+// Clone copies it.
+func TestIrregularMarksEveryRefusal(t *testing.T) {
+	cases := []struct {
+		name string
+		add  func(nl *Netlist, a, y NetID)
+	}{
+		{"invalid kind", func(nl *Netlist, a, y NetID) { nl.AddGateLenient("g", logic.Kind(250), y, a) }},
+		{"arity", func(nl *Netlist, a, y NetID) { nl.AddGateLenient("g", logic.Nand, y, a) }},
+		{"bad output", func(nl *Netlist, a, y NetID) { nl.AddGateLenient("g", logic.Not, NetID(99), a) }},
+		{"bad input", func(nl *Netlist, a, y NetID) { nl.AddGateLenient("g", logic.Not, y, NetID(-5)) }},
+		{"second driver", func(nl *Netlist, a, y NetID) {
+			nl.MustGate("g1", logic.Not, y, a)
+			nl.AddGateLenient("g2", logic.Buf, y, a)
+		}},
+	}
+	for _, c := range cases {
+		nl := New("t")
+		a := nl.MustNet("a")
+		nl.MarkPI(a)
+		y := nl.MustNet("y")
+		nl.AddGateLenient("ok", logic.Not, nl.MustNet("z"), a)
+		if nl.Irregular() || nl.Clone().Irregular() {
+			t.Fatalf("%s: a gate AddGate accepts made the netlist irregular", c.name)
+		}
+		c.add(nl, a, y)
+		if !nl.Irregular() {
+			t.Errorf("%s: not irregular", c.name)
+		}
+		if !nl.Clone().Irregular() {
+			t.Errorf("%s: Clone dropped the flag", c.name)
+		}
+	}
+}

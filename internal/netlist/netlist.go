@@ -74,6 +74,9 @@ type Netlist struct {
 	// extraDrivers records multi-driver conflicts accepted by the lenient
 	// construction path (AddGateLenient) for later diagnosis.
 	extraDrivers []ExtraDriver
+	// irregular is set once AddGateLenient accepts a gate AddGate would
+	// refuse (see Irregular).
+	irregular bool
 	// pinSlab and fanSlab are the current chunks: their lengths are the
 	// entries handed out so far, their capacities the chunk sizes.
 	pinSlab []NetID
@@ -145,22 +148,8 @@ func (nl *Netlist) EnsureNet(name string) NetID {
 // preserved; it is the "file order" that the word-identification adjacency
 // pass relies on.
 func (nl *Netlist) AddGate(name string, kind logic.Kind, output NetID, inputs ...NetID) (GateID, error) {
-	if !kind.IsCombinational() && !kind.IsSequential() {
-		return NoGate, fmt.Errorf("netlist %s: gate %q has invalid kind %s", nl.Name, name, kind)
-	}
-	if !kind.ValidArity(len(inputs)) {
-		return NoGate, fmt.Errorf("netlist %s: gate %q: %s with %d inputs", nl.Name, name, kind, len(inputs))
-	}
-	if !nl.validNet(output) {
-		return NoGate, fmt.Errorf("netlist %s: gate %q: bad output net %d", nl.Name, name, output)
-	}
-	if nl.nets[output].Driver != NoGate {
-		return NoGate, fmt.Errorf("netlist %s: gate %q: net %q already driven", nl.Name, name, nl.nets[output].Name)
-	}
-	for _, in := range inputs {
-		if !nl.validNet(in) {
-			return NoGate, fmt.Errorf("netlist %s: gate %q: bad input net %d", nl.Name, name, in)
-		}
+	if err := nl.checkGate(name, kind, output, inputs); err != nil {
+		return NoGate, err
 	}
 	id := GateID(len(nl.gates))
 	nl.gates = append(nl.gates, Gate{Name: name, Kind: kind, Inputs: nl.carvePins(inputs), Output: output})
@@ -169,6 +158,29 @@ func (nl *Netlist) AddGate(name string, kind logic.Kind, output NetID, inputs ..
 		nl.addFanout(in, id)
 	}
 	return id, nil
+}
+
+// checkGate returns why AddGate refuses a gate: an invalid kind, an arity
+// invalid for its kind, an out-of-range pin, or an output already driven.
+func (nl *Netlist) checkGate(name string, kind logic.Kind, output NetID, inputs []NetID) error {
+	if !kind.IsCombinational() && !kind.IsSequential() {
+		return fmt.Errorf("netlist %s: gate %q has invalid kind %s", nl.Name, name, kind)
+	}
+	if !kind.ValidArity(len(inputs)) {
+		return fmt.Errorf("netlist %s: gate %q: %s with %d inputs", nl.Name, name, kind, len(inputs))
+	}
+	if !nl.validNet(output) {
+		return fmt.Errorf("netlist %s: gate %q: bad output net %d", nl.Name, name, output)
+	}
+	if nl.nets[output].Driver != NoGate {
+		return fmt.Errorf("netlist %s: gate %q: net %q already driven", nl.Name, name, nl.nets[output].Name)
+	}
+	for _, in := range inputs {
+		if !nl.validNet(in) {
+			return fmt.Errorf("netlist %s: gate %q: bad input net %d", nl.Name, name, in)
+		}
+	}
+	return nil
 }
 
 // Slab chunks start at minSlabChunk entries and double up to maxSlabChunk,
@@ -313,6 +325,7 @@ func (nl *Netlist) Clone() *Netlist {
 		gates:        make([]Gate, len(nl.gates)),
 		byName:       make(map[string]NetID, len(nl.byName)),
 		extraDrivers: append([]ExtraDriver(nil), nl.extraDrivers...),
+		irregular:    nl.irregular,
 	}
 	for i, n := range nl.nets {
 		n.Fanout = append([]GateID(nil), n.Fanout...)

@@ -79,7 +79,9 @@ const (
 	CtrTrials Counter = iota
 	// CtrReductions counts feasible trials (propagation without conflict).
 	CtrReductions
-	// CtrReduceGateVisits counts gate evaluations during constant propagation.
+	// CtrReduceGateVisits counts gate evaluations during constant
+	// propagation. A §2.5 trial evaluates only gates whose output lies in
+	// its region, the combinational fanin of its bits and assigned nets.
 	CtrReduceGateVisits
 	// CtrEqChecks counts equivalence/satisfiability queries issued.
 	CtrEqChecks
@@ -151,7 +153,8 @@ const (
 	GaugeSubgroupBits Gauge = iota
 	// GaugeControlSignals is the most control signals found for one subgroup.
 	GaugeControlSignals
-	// GaugeReduceQueue is the deepest constant-propagation worklist.
+	// GaugeReduceQueue is the deepest constant-propagation worklist; in a
+	// §2.5 trial it holds only nets of the trial's region.
 	GaugeReduceQueue
 
 	NumGauges

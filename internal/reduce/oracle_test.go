@@ -3,6 +3,7 @@ package reduce
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gatewords/internal/logic"
@@ -10,14 +11,15 @@ import (
 )
 
 // fixpointOracle is a naive reference for propagation, sharing no worklist,
-// trail or topology code with Propagator: starting from assign, it sweeps
+// trail or region code with Propagator: starting from assign, it sweeps
 // every combinational gate in gate order through the netlist's own Gate
 // records, evaluating forward with logic.TryEval and implying inputs
 // backward with logic.ImplyInputs, until a whole sweep changes nothing. It
 // returns every net's value, or ok=false when some gate's values
-// contradict.
-func fixpointOracle(t *testing.T, nl *netlist.Netlist, assign map[netlist.NetID]logic.Value) (vals []logic.Value, ok bool) {
-	t.Helper()
+// contradict. A gate it cannot evaluate (a lenient gate whose arity is
+// invalid for its kind) stays out of the sweep; malformedReached reports
+// whether one of its pins is known at the fixpoint.
+func fixpointOracle(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value) (vals []logic.Value, ok, malformedReached bool) {
 	vals = make([]logic.Value, nl.NetCount())
 	for i := range vals {
 		vals[i] = logic.X
@@ -25,8 +27,10 @@ func fixpointOracle(t *testing.T, nl *netlist.Netlist, assign map[netlist.NetID]
 	for n, v := range assign {
 		vals[n] = v
 	}
+	var malformed []*netlist.Gate
 	for changed := true; changed; {
 		changed = false
+		malformed = malformed[:0]
 		for g := 0; g < nl.GateCount(); g++ {
 			gate := nl.Gate(netlist.GateID(g))
 			if !gate.Kind.IsCombinational() {
@@ -38,12 +42,13 @@ func fixpointOracle(t *testing.T, nl *netlist.Netlist, assign map[netlist.NetID]
 			}
 			out, err := logic.TryEval(gate.Kind, in)
 			if err != nil {
-				t.Fatalf("oracle: gate %s: %v", gate.Name, err)
+				malformed = append(malformed, gate)
+				continue
 			}
 			cur := vals[gate.Output]
 			if out.Known() {
 				if cur.Known() && cur != out {
-					return nil, false
+					return nil, false, false
 				}
 				if !cur.Known() {
 					vals[gate.Output], cur, changed = out, out, true
@@ -53,7 +58,7 @@ func fixpointOracle(t *testing.T, nl *netlist.Netlist, assign map[netlist.NetID]
 				continue
 			}
 			if _, bad := logic.ImplyInputs(gate.Kind, cur, in); bad {
-				return nil, false
+				return nil, false, false
 			}
 			for i, n := range gate.Inputs {
 				if in[i].Known() && !vals[n].Known() {
@@ -62,7 +67,12 @@ func fixpointOracle(t *testing.T, nl *netlist.Netlist, assign map[netlist.NetID]
 			}
 		}
 	}
-	return vals, true
+	for _, gate := range malformed {
+		if vals[gate.Output].Known() || slices.ContainsFunc(gate.Inputs, func(n netlist.NetID) bool { return vals[n].Known() }) {
+			malformedReached = true
+		}
+	}
+	return vals, true, malformedReached
 }
 
 // requireOracleAgrees applies assign through prop and checks it against the
@@ -71,7 +81,7 @@ func fixpointOracle(t *testing.T, nl *netlist.Netlist, assign map[netlist.NetID]
 func requireOracleAgrees(t *testing.T, what string, nl *netlist.Netlist, prop *Propagator, assign map[netlist.NetID]logic.Value) bool {
 	t.Helper()
 	red, err := prop.Apply(assign, nil)
-	want, ok := fixpointOracle(t, nl, assign)
+	want, ok, _ := fixpointOracle(nl, assign)
 	if (err == nil) != ok {
 		t.Fatalf("%s: assign %v: propagator error %v, oracle feasible %v", what, assign, err, ok)
 	}
@@ -131,11 +141,12 @@ func TestPropagatorMatchesFixpointOracle(t *testing.T) {
 	}
 }
 
-// TestPropagatorSeesGrownNetlist pins the rebuild of the propagator's flat
-// topology: nets and gates added after NewPropagator, including gates that
+// TestPropagatorSeesGrownNetlist pins propagation over a netlist grown
+// after NewPropagator: nets and gates added later, including gates that
 // extend the fanout of existing nets and a gate driving a net that already
 // existed, must propagate through that propagator exactly as through a
-// fresh one-shot Apply.
+// fresh one-shot Apply, and its scoped applies, whose region reaches the
+// added nets, as a whole-netlist apply on that region.
 func TestPropagatorSeesGrownNetlist(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -144,6 +155,9 @@ func TestPropagatorSeesGrownNetlist(t *testing.T) {
 		prop := NewPropagator(nl)
 		n0 := netlist.NetID(0)
 		if _, err := prop.Apply(map[netlist.NetID]logic.Value{n0: logic.One}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := prop.ApplyScoped(map[netlist.NetID]logic.Value{n0: logic.One}, []netlist.NetID{spare}, nil); err != nil {
 			t.Fatal(err)
 		}
 		existing := func() netlist.NetID { return netlist.NetID(rng.Intn(int(spare))) }
@@ -181,6 +195,8 @@ func TestPropagatorSeesGrownNetlist(t *testing.T) {
 					requireSameReduction(t, what, nl, got, want)
 				}
 				requireOracleAgrees(t, what, nl, prop, assign)
+				requireScopedMatchesWhole(t, what, nl, prop, []netlist.NetID{added}, assign)
+				requireScopedMatchesWhole(t, what, nl, prop, []netlist.NetID{existing()}, assign)
 			}
 		}
 	}

@@ -65,11 +65,11 @@ func requireSameReduction(t *testing.T, what string, nl *netlist.Netlist, got, w
 				got.GateKind(g), got.GateInputs(g, nil), kind, ins)
 		}
 	}
-	if got.AssignedCount() != want.AssignedCount() || got.RemovedGateCount() != want.RemovedGateCount() {
+	if assignedCount(got) != assignedCount(want) || removedGateCount(got) != removedGateCount(want) {
 		t.Fatalf("%s: assigned %d removed %d, want %d and %d", what,
-			got.AssignedCount(), got.RemovedGateCount(), want.AssignedCount(), want.RemovedGateCount())
+			assignedCount(got), removedGateCount(got), assignedCount(want), removedGateCount(want))
 	}
-	if g, w := got.DirtyRoots(), want.DirtyRoots(); !slices.Equal(g, w) {
+	if g, w := dirtyRoots(got), dirtyRoots(want); !slices.Equal(g, w) {
 		t.Fatalf("%s: DirtyRoots = %v, want %v", what, g, w)
 	}
 }
@@ -139,7 +139,7 @@ func TestPropagatorMatchesApply(t *testing.T) {
 		}
 		for _, k := range detached {
 			requireSameReduction(t, "detached", nl, k.got, k.want)
-			roots := k.want.DirtyRoots()
+			roots := dirtyRoots(k.want)
 			gv := k.got.VerifyCones(roots, 3, eqcheck.Options{})
 			wv := k.want.VerifyCones(roots, 3, eqcheck.Options{})
 			if gv.Refuted != 0 || gv.Proved != wv.Proved || gv.Unknown != wv.Unknown {

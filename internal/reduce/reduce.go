@@ -1,8 +1,9 @@
 // Package reduce implements circuit reduction under control-signal value
 // assignments (DAC'15 §2.5): assigned values are propagated forward and
-// backward throughout the netlist until fixpoint; nets with inferred
-// constants and gates with determined outputs are removed; gates left with a
-// single live input collapse to buffers or inverters.
+// backward until fixpoint, either throughout the netlist or only through a
+// region holding every net a caller reads (see Propagator.ApplyScoped); nets
+// with inferred constants and gates with determined outputs are removed;
+// gates left with a single live input collapse to buffers or inverters.
 //
 // A Reduction is an overlay implementing netlist.View — the underlying
 // netlist is never mutated, so many candidate assignments can be explored
@@ -21,9 +22,11 @@ import (
 )
 
 // Reduction is the result of propagating an assignment through a netlist.
-// It implements netlist.View over the simplified circuit. One returned by
-// Propagator.Apply is valid until that propagator's next apply; Detach
-// keeps it longer.
+// It implements netlist.View over the simplified circuit. One returned by a
+// Propagator is valid until that propagator's next apply; Detach keeps it
+// longer. One returned by ApplyScoped is exact only on its region: a net
+// outside it may read X where a whole-netlist apply infers a constant, so
+// it must not be materialized or scanned whole.
 type Reduction struct {
 	nl *netlist.Netlist
 	// vals is every net's inferred constant, indexed by NetID (X = live);
@@ -73,95 +76,61 @@ func Apply(nl *netlist.Netlist, assign map[netlist.NetID]logic.Value) (*Reductio
 // Propagator runs many applies over one netlist on the same dense state:
 // each apply first clears the nets the previous one assigned (the undo
 // trail), so its cost follows the propagation rather than the netlist size,
-// and its buffers are reused from apply to apply. The Reduction an apply
-// returns shares that state. A Propagator is not safe for concurrent use.
+// and its buffers are reused from apply to apply. It reads the netlist's
+// own gate and net records, so a netlist grown between applies needs
+// nothing rebuilt. The Reduction an apply returns shares that state. A
+// Propagator is not safe for concurrent use.
 type Propagator struct {
 	red   Reduction
-	topo  topology
 	queue []netlist.NetID
 	inbuf []logic.Value
+	// region marks the nets of a scoped apply's region: net n is in it when
+	// region[n] == epoch. whole puts every net in it. walk is the stack
+	// markRegion walks the fanin with.
+	region []uint32
+	epoch  uint32
+	whole  bool
+	walk   []netlist.NetID
 }
 
-// topology is the flat copy of the netlist that propagation reads: each
-// gate's kind, output and input pins, and each net's driver and fanout. Pins
-// and fanouts are in CSR form, one flat array per relation with a start
-// offset per gate or net, so a visit loads from a few contiguous arrays
-// instead of chasing Gate and Net records and their separately allocated
-// slices. gates and nets each end with a sentinel entry whose offset closes
-// the last list.
-type topology struct {
-	gates  []flatGate // by GateID
-	pins   []netlist.NetID
-	nets   []flatNet // by NetID
-	fanout []netlist.GateID
-}
-
-// flatGate is one gate of a topology: its pins are
-// pins[gates[g].pin:gates[g+1].pin].
-type flatGate struct {
-	pin  int32
-	out  netlist.NetID
-	kind logic.Kind
-}
-
-// flatNet is one net of a topology: its fanout gates are
-// fanout[nets[n].fanout:nets[n+1].fanout].
-type flatNet struct {
-	fanout int32
-	driver netlist.GateID
-}
-
-// build copies nl's current gates and nets into t, each array allocated
-// once at its final size.
-func (t *topology) build(nl *netlist.Netlist) {
-	nPins, nFanout := 0, 0
-	for g := 0; g < nl.GateCount(); g++ {
-		nPins += len(nl.Gate(netlist.GateID(g)).Inputs)
-	}
-	for n := 0; n < nl.NetCount(); n++ {
-		nFanout += len(nl.Net(netlist.NetID(n)).Fanout)
-	}
-	t.gates = make([]flatGate, 0, nl.GateCount()+1)
-	t.pins = make([]netlist.NetID, 0, nPins)
-	for g := 0; g < nl.GateCount(); g++ {
-		gate := nl.Gate(netlist.GateID(g))
-		t.gates = append(t.gates, flatGate{pin: int32(len(t.pins)), out: gate.Output, kind: gate.Kind})
-		t.pins = append(t.pins, gate.Inputs...)
-	}
-	t.gates = append(t.gates, flatGate{pin: int32(len(t.pins))})
-	t.nets = make([]flatNet, 0, nl.NetCount()+1)
-	t.fanout = make([]netlist.GateID, 0, nFanout)
-	for n := 0; n < nl.NetCount(); n++ {
-		net := nl.Net(netlist.NetID(n))
-		t.nets = append(t.nets, flatNet{fanout: int32(len(t.fanout)), driver: net.Driver})
-		t.fanout = append(t.fanout, net.Fanout...)
-	}
-	t.nets = append(t.nets, flatNet{fanout: int32(len(t.fanout))})
-}
-
-// NewPropagator returns a propagator over nl, holding a flat copy of nl's
-// topology. Its dense state is sized on the first apply.
+// NewPropagator returns a propagator over nl. Its dense state is sized on
+// the first apply.
 func NewPropagator(nl *netlist.Netlist) *Propagator {
-	p := &Propagator{red: Reduction{nl: nl}}
-	p.topo.build(nl)
-	return p
+	return &Propagator{red: Reduction{nl: nl}}
 }
 
 // Apply is the package-level Apply on the propagator's reused state, with
 // observability: the propagation's gate-visit count and peak worklist depth
 // report into rec (see internal/obs); a nil rec records nothing. Every call
 // returns the same Reduction, rewritten in place, so the one returned is
-// overwritten by the next call and a view of it follows the propagator. A
-// netlist grown since the last apply (gates or nets added) is copied afresh
-// first.
+// overwritten by the next call and a view of it follows the propagator.
 func (p *Propagator) Apply(assign map[netlist.NetID]logic.Value, rec *obs.Recorder) (*Reduction, error) {
+	return p.apply(assign, nil, true, rec)
+}
+
+// ApplyScoped is Apply restricted to a region R: the combinational
+// transitive fanin of roots and of the assigned nets, stopping at
+// flip-flops and primary inputs. Only gates whose output lies in R are
+// visited. The error, and on a feasible apply the value of every net in R,
+// equal Apply's: a gate outside R can neither set a value in R (R holds
+// each of its nets' drivers and their inputs) nor conflict (backward
+// implications start at assigned nets and stay in their fanin), and a
+// whole-netlist apply visits the gates of R in the same order. That
+// argument needs every gate to be evaluable and its output's only driver,
+// so on an Irregular netlist R is every net. The Reduction is exact only
+// on R; see Reduction.
+func (p *Propagator) ApplyScoped(assign map[netlist.NetID]logic.Value, roots []netlist.NetID, rec *obs.Recorder) (*Reduction, error) {
+	return p.apply(assign, roots, p.red.nl.Irregular(), rec)
+}
+
+// apply runs the one fixpoint loop: over every gate when whole is set,
+// else over the gates whose output lies in the region of roots and the
+// assigned nets.
+func (p *Propagator) apply(assign map[netlist.NetID]logic.Value, roots []netlist.NetID, whole bool, rec *obs.Recorder) (*Reduction, error) {
 	r := &p.red
+	nl := r.nl
 	r.reset()
-	t := &p.topo
-	if len(t.gates) != r.nl.GateCount()+1 || len(t.nets) != r.nl.NetCount()+1 {
-		t.build(r.nl)
-	}
-	if n := r.nl.NetCount(); len(r.vals) < n {
+	if n := nl.NetCount(); len(r.vals) < n {
 		r.vals = make([]logic.Value, n)
 	}
 	// The fixpoint is confluent, but the peak-queue-depth gauge reported
@@ -172,11 +141,15 @@ func (p *Propagator) Apply(assign map[netlist.NetID]logic.Value, rec *obs.Record
 		queue = append(queue, n)
 	}
 	slices.Sort(queue)
+	p.whole = whole
+	if !whole {
+		p.markRegion(roots, queue)
+	}
 	for _, n := range queue {
 		v := assign[n]
 		if !v.Known() {
 			p.queue = queue
-			return nil, fmt.Errorf("reduce: assignment of X to net %q", r.nl.NetName(n))
+			return nil, fmt.Errorf("reduce: assignment of X to net %q", nl.NetName(n))
 		}
 		r.set(n, v)
 	}
@@ -187,18 +160,23 @@ func (p *Propagator) Apply(assign map[netlist.NetID]logic.Value, rec *obs.Record
 		}
 		n := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
+		net := nl.Net(n)
 
 		// Forward: every fanout gate may now have a determined output, and
 		// a newly known output may backward-imply sibling inputs.
-		for _, g := range t.fanout[t.nets[n].fanout:t.nets[n+1].fanout] {
+		for _, g := range net.Fanout {
+			if !p.whole && p.region[nl.Gate(g).Output] != p.epoch {
+				continue
+			}
 			visits++
 			queue = p.visitGate(g, queue)
 			if r.conflict {
 				break
 			}
 		}
-		// Backward: the driver of n now has a known output.
-		if d := t.nets[n].driver; !r.conflict && d != netlist.NoGate {
+		// Backward: the driver of n now has a known output. Every net on
+		// the queue is in the region, so its driver's output is too.
+		if d := net.Driver; !r.conflict && d != netlist.NoGate {
 			visits++
 			queue = p.visitGate(d, queue)
 		}
@@ -213,6 +191,36 @@ func (p *Propagator) Apply(assign map[netlist.NetID]logic.Value, rec *obs.Record
 		return nil, r.propagationError()
 	}
 	return r, nil
+}
+
+// markRegion stamps the region of a scoped apply with a fresh epoch: every
+// net reached from roots and the assigned nets by walking back through
+// drivers, where a flip-flop's output is reached but not its input.
+func (p *Propagator) markRegion(roots, assigned []netlist.NetID) {
+	nl := p.red.nl
+	if n := nl.NetCount(); len(p.region) < n {
+		p.region = append(p.region, make([]uint32, n-len(p.region))...)
+	}
+	p.epoch++
+	if p.epoch == 0 {
+		clear(p.region)
+		p.epoch = 1
+	}
+	walk := append(append(p.walk[:0], roots...), assigned...)
+	for len(walk) > 0 {
+		n := walk[len(walk)-1]
+		walk = walk[:len(walk)-1]
+		if p.region[n] == p.epoch {
+			continue
+		}
+		p.region[n] = p.epoch
+		if d := nl.Net(n).Driver; d != netlist.NoGate {
+			if g := nl.Gate(d); g.Kind != logic.DFF {
+				walk = append(walk, g.Inputs...)
+			}
+		}
+	}
+	p.walk = walk
 }
 
 // reset clears the previous apply's assignments and verdict.
@@ -252,17 +260,15 @@ func (r *Reduction) propagationError() error {
 
 // visitGate re-evaluates one gate against current knowledge, performing both
 // forward evaluation and backward implication, and enqueues any nets whose
-// values become known. It reads the gate from the flat topology and looks
-// at the netlist only to name a gate it reports.
+// values become known.
 func (p *Propagator) visitGate(g netlist.GateID, queue []netlist.NetID) []netlist.NetID {
-	r, t := &p.red, &p.topo
-	gate := t.gates[g]
-	if gate.kind == logic.DFF {
+	r := &p.red
+	gate := r.nl.Gate(g)
+	if gate.Kind == logic.DFF {
 		return queue // constants do not cross sequential elements
 	}
-	pins := t.pins[gate.pin:t.gates[g+1].pin]
 	in := p.inbuf[:0]
-	for _, id := range pins {
+	for _, id := range gate.Inputs {
 		in = append(in, r.vals[id])
 	}
 	p.inbuf = in
@@ -271,38 +277,37 @@ func (p *Propagator) visitGate(g netlist.GateID, queue []netlist.NetID) []netlis
 	// invalid for its kind; surface it as an explicit error instead of
 	// letting logic.Eval panic. The early return also shields the backward
 	// implication below, which indexes pins by fixed arity.
-	out, evalErr := logic.TryEval(gate.kind, in)
+	out, evalErr := logic.TryEval(gate.Kind, in)
 	if evalErr != nil {
-		name := r.nl.Gate(g).Name
 		r.conflict = true
-		r.ConflictGate = name
-		r.malformed = fmt.Errorf("%w %q: %v", ErrMalformedGate, name, evalErr)
+		r.ConflictGate = gate.Name
+		r.malformed = fmt.Errorf("%w %q: %v", ErrMalformedGate, gate.Name, evalErr)
 		return queue
 	}
-	cur := r.vals[gate.out]
+	cur := r.vals[gate.Output]
 	if out.Known() {
 		if cur.Known() && cur != out {
 			r.conflict = true
-			r.ConflictGate = r.nl.Gate(g).Name
+			r.ConflictGate = gate.Name
 			return queue
 		}
 		if !cur.Known() {
-			r.set(gate.out, out)
-			queue = append(queue, gate.out)
+			r.set(gate.Output, out)
+			queue = append(queue, gate.Output)
 			cur = out
 		}
 	}
 
 	// Backward.
 	if cur.Known() {
-		newly, bad := logic.ImplyInputs(gate.kind, cur, in)
+		newly, bad := logic.ImplyInputs(gate.Kind, cur, in)
 		if bad {
 			r.conflict = true
-			r.ConflictGate = r.nl.Gate(g).Name
+			r.ConflictGate = gate.Name
 			return queue
 		}
 		if newly > 0 {
-			for i, id := range pins {
+			for i, id := range gate.Inputs {
 				if in[i].Known() && !r.vals[id].Known() {
 					r.set(id, in[i])
 					queue = append(queue, id)
@@ -315,22 +320,6 @@ func (p *Propagator) visitGate(g netlist.GateID, queue []netlist.NetID) []netlis
 
 // Value returns the inferred constant for a net (X if the net is live).
 func (r *Reduction) Value(n netlist.NetID) logic.Value { return r.vals[n] }
-
-// AssignedCount returns the number of nets with inferred constants.
-func (r *Reduction) AssignedCount() int { return len(r.trail) }
-
-// RemovedGateCount returns the number of combinational gates whose output
-// became constant (and which therefore disappear from the reduced circuit).
-func (r *Reduction) RemovedGateCount() int {
-	c := 0
-	for gi := 0; gi < r.nl.GateCount(); gi++ {
-		g := r.nl.Gate(netlist.GateID(gi))
-		if g.Kind != logic.DFF && r.vals[g.Output].Known() {
-			c++
-		}
-	}
-	return c
-}
 
 // --- netlist.View implementation -------------------------------------------
 

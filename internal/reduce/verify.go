@@ -118,30 +118,3 @@ func (r *Reduction) VerifyCones(roots []netlist.NetID, depth int, opt eqcheck.Op
 	}
 	return res
 }
-
-// DirtyRoots returns deterministic verification roots for this reduction: the
-// output nets of every gate the overlay rewrites — gates with at least one
-// constant-valued input whose output stayed live. These are exactly the
-// places SimplifyGate's rewrite rules fire, so proving these cones proves the
-// overlay sound. Roots are returned in net-ID order.
-func (r *Reduction) DirtyRoots() []netlist.NetID {
-	var roots []netlist.NetID
-	for gi := 0; gi < r.nl.GateCount(); gi++ {
-		g := netlist.GateID(gi)
-		gate := r.nl.Gate(g)
-		if gate.Kind == logic.DFF || r.vals[gate.Output].Known() {
-			continue
-		}
-		touched := false
-		for _, in := range gate.Inputs {
-			if r.vals[in].Known() {
-				touched = true
-				break
-			}
-		}
-		if touched {
-			roots = append(roots, gate.Output)
-		}
-	}
-	return roots
-}

@@ -35,7 +35,7 @@ func TestVerifyConesProvesReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := red.DirtyRoots()
+	roots := dirtyRoots(red)
 	if len(roots) == 0 {
 		t.Fatal("no dirty roots for c=0")
 	}
@@ -73,7 +73,7 @@ func TestVerifyConesBackwardImplication(t *testing.T) {
 	if got := red.Value(u); got != logic.One {
 		t.Fatalf("u not backward-implied: %v", got)
 	}
-	roots := red.DirtyRoots()
+	roots := dirtyRoots(red)
 	if len(roots) != 1 || roots[0] != s {
 		t.Fatalf("dirty roots = %v, want [s]", roots)
 	}
@@ -152,7 +152,7 @@ func TestVerifyConesCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := red.DirtyRoots()
+	roots := dirtyRoots(red)
 	if len(roots) == 0 {
 		t.Fatal("no dirty roots for c=0")
 	}
