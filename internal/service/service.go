@@ -324,6 +324,10 @@ type Server struct {
 	// testJobGate, when non-nil, makes every worker receive one value
 	// before starting a job — test-only, to pin queue states without races.
 	testJobGate chan struct{}
+	// testParseGate, when non-nil, runs in Submit between a miss's parse
+	// and the second critical section — test-only, to hold a submission
+	// there while another is admitted.
+	testParseGate func()
 }
 
 // New starts a server and its worker pool, replaying the journal first when
@@ -464,6 +468,9 @@ func (s *Server) Submit(src Source, opts JobOptions) (*Job, error) {
 	}
 	fp := d.Fingerprint()
 	gates := d.Stats().Gates
+	if s.testParseGate != nil {
+		s.testParseGate()
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -407,6 +408,60 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: status %d", resp.StatusCode)
+	}
+}
+
+// TestSubmitRechecksAfterParse pins Submit's post-parse re-check: request
+// A is held between its parse and the second critical section while the
+// identical request B parses and is admitted, and B's run is held in the
+// queue. Released, A must find B in flight and coalesce onto it, so the
+// two share one pipeline run.
+func TestSubmitRechecksAfterParse(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1})
+	s.testJobGate = make(chan struct{})
+	t.Cleanup(func() {
+		close(s.testJobGate) // let a run still held at the gate finish
+		s.Close()
+	})
+	held, release := make(chan struct{}), make(chan struct{})
+	var parsed atomic.Int32
+	s.testParseGate = func() {
+		if parsed.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+	}
+	src := Source{Bench: "b03a"}
+	type submitted struct {
+		job *Job
+		err error
+	}
+	first := make(chan submitted, 1)
+	go func() {
+		job, err := s.Submit(src, JobOptions{})
+		first <- submitted{job, err}
+	}()
+	<-held
+	b, err := s.Submit(src, JobOptions{})
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.CoalescedWith != "" || b.Cached {
+		t.Fatalf("request B was not admitted as a primary: coalesced with %q, cached %v", b.CoalescedWith, b.Cached)
+	}
+	a := <-first
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.job.CoalescedWith != b.ID {
+		t.Fatalf("request A, held after its parse, became %s coalesced with %q, want coalesced with %s", a.job.ID, a.job.CoalescedWith, b.ID)
+	}
+	s.testJobGate <- struct{}{} // release B's run
+	<-a.job.Done
+	<-b.Done
+	if m, _ := s.Metrics(); m.PipelineRuns != 1 || m.JobsCoalesced != 1 {
+		t.Errorf("pipeline_runs/jobs_coalesced = %d/%d, want 1/1", m.PipelineRuns, m.JobsCoalesced)
 	}
 }
 
