@@ -477,7 +477,7 @@ func TestBestTrialSurvivesLaterTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, in := range faninRegion(nl, nets, kZero) {
+	for i, in := range FaninRegion(nl, nets, kZero) {
 		n := netlist.NetID(i)
 		if got := best.red.Value(n); in && got != want.Value(n) {
 			t.Fatalf("net %s = %s in the best trial's reduction after later trials, want %s",

@@ -42,14 +42,11 @@ func EachTrial(nl *netlist.Netlist, opt Options, fn func(bits []netlist.NetID, a
 	}
 }
 
-// FaninRegion is faninRegion, for the external tests.
-var FaninRegion = faninRegion
-
-// faninRegion returns, by NetID, the region a trial's propagation is exact
+// FaninRegion returns, by NetID, the region a trial's propagation is exact
 // on: the combinational transitive fanin of roots and of the assigned nets,
 // stopping at flip-flops and primary inputs. It walks the netlist itself,
 // sharing no code with the propagator.
-func faninRegion(nl *netlist.Netlist, roots []netlist.NetID, assign map[netlist.NetID]logic.Value) []bool {
+func FaninRegion(nl *netlist.Netlist, roots []netlist.NetID, assign map[netlist.NetID]logic.Value) []bool {
 	in := make([]bool, nl.NetCount())
 	stack := append([]netlist.NetID(nil), roots...)
 	for n := range assign {

@@ -85,11 +85,9 @@ type Propagator struct {
 	queue []netlist.NetID
 	inbuf []logic.Value
 	// region marks the nets of a scoped apply's region: net n is in it when
-	// region[n] == epoch. whole puts every net in it. walk is the stack
-	// markRegion walks the fanin with.
+	// region[n] == epoch. walk is the stack markRegion walks the fanin with.
 	region []uint32
 	epoch  uint32
-	whole  bool
 	walk   []netlist.NetID
 }
 
@@ -141,7 +139,6 @@ func (p *Propagator) apply(assign map[netlist.NetID]logic.Value, roots []netlist
 		queue = append(queue, n)
 	}
 	slices.Sort(queue)
-	p.whole = whole
 	if !whole {
 		p.markRegion(roots, queue)
 	}
@@ -165,7 +162,7 @@ func (p *Propagator) apply(assign map[netlist.NetID]logic.Value, roots []netlist
 		// Forward: every fanout gate may now have a determined output, and
 		// a newly known output may backward-imply sibling inputs.
 		for _, g := range net.Fanout {
-			if !p.whole && p.region[nl.Gate(g).Output] != p.epoch {
+			if !whole && p.region[nl.Gate(g).Output] != p.epoch {
 				continue
 			}
 			visits++
