@@ -20,7 +20,7 @@ func TestCheckLitsStrashIdentity(t *testing.T) {
 	a, b := g.Input("a"), g.Input("b")
 	x := g.And(a, g.Or(b, a.Not()))
 	y := g.And(g.Or(b, a.Not()), a)
-	r := eqcheck.CheckLits(g, x, y, eqcheck.Options{})
+	r := eqcheck.NewSolver(g, eqcheck.Options{}).CheckLits(x, y)
 	if r.Verdict != eqcheck.Equivalent || r.Stage != "strash" {
 		t.Fatalf("verdict=%v stage=%s, want equivalent/strash", r.Verdict, r.Stage)
 	}
@@ -34,7 +34,7 @@ func TestCheckLitsSATProof(t *testing.T) {
 	a, b, c := g.Input("a"), g.Input("b"), g.Input("c")
 	maj1 := g.Or(g.Or(g.And(a, b), g.And(a, c)), g.And(b, c))
 	maj2 := g.Or(g.And(a, g.Or(b, c)), g.And(b, c))
-	r := eqcheck.CheckLits(g, maj1, maj2, eqcheck.Options{})
+	r := eqcheck.NewSolver(g, eqcheck.Options{}).CheckLits(maj1, maj2)
 	if r.Verdict != eqcheck.Equivalent {
 		t.Fatalf("majority forms not proved equivalent: %+v", r)
 	}
@@ -46,7 +46,7 @@ func TestCheckLitsSATProof(t *testing.T) {
 func TestCheckLitsRefutedBySim(t *testing.T) {
 	g := aig.New()
 	a, b := g.Input("a"), g.Input("b")
-	r := eqcheck.CheckLits(g, g.And(a, b), g.Or(a, b), eqcheck.Options{})
+	r := eqcheck.NewSolver(g, eqcheck.Options{}).CheckLits(g.And(a, b), g.Or(a, b))
 	if r.Verdict != eqcheck.NotEquivalent || r.Stage != "sim" {
 		t.Fatalf("verdict=%v stage=%s, want not-equivalent/sim", r.Verdict, r.Stage)
 	}
@@ -57,7 +57,7 @@ func TestCheckLitsRefutedBySAT(t *testing.T) {
 	g := aig.New()
 	a, b := g.Input("a"), g.Input("b")
 	x, y := g.And(a, b), g.Or(a, b)
-	r := eqcheck.CheckLits(g, x, y, eqcheck.Options{SimRounds: -1})
+	r := eqcheck.NewSolver(g, eqcheck.Options{SimRounds: -1}).CheckLits(x, y)
 	if r.Verdict != eqcheck.NotEquivalent || r.Stage != "sat" {
 		t.Fatalf("verdict=%v stage=%s, want not-equivalent/sat", r.Verdict, r.Stage)
 	}
@@ -109,12 +109,12 @@ func TestCheckLitsUnknownOnBudget(t *testing.T) {
 	for i := n - 1; i >= 0; i-- {
 		right = g.Xor(ins[i], right)
 	}
-	r := eqcheck.CheckLits(g, left, right, eqcheck.Options{SimRounds: 2, MaxConflicts: 5})
+	r := eqcheck.NewSolver(g, eqcheck.Options{SimRounds: 2, MaxConflicts: 5}).CheckLits(left, right)
 	if r.Verdict != eqcheck.Unknown || r.Stage != "sat" {
 		t.Fatalf("verdict=%v stage=%s, want unknown/sat", r.Verdict, r.Stage)
 	}
 	// With the default budget the same miter is proved.
-	r = eqcheck.CheckLits(g, left, right, eqcheck.Options{SimRounds: 2})
+	r = eqcheck.NewSolver(g, eqcheck.Options{SimRounds: 2}).CheckLits(left, right)
 	if r.Verdict != eqcheck.Equivalent {
 		t.Fatalf("default budget failed to prove XOR reassociation: %+v", r)
 	}
@@ -123,17 +123,17 @@ func TestCheckLitsUnknownOnBudget(t *testing.T) {
 func TestSolve(t *testing.T) {
 	g := aig.New()
 	a, b := g.Input("a"), g.Input("b")
-	if r := eqcheck.Solve(g, aig.False, eqcheck.Options{}); r.Status != eqcheck.Unsat {
+	if r := eqcheck.NewSolver(g, eqcheck.Options{}).Solve(aig.False); r.Status != eqcheck.Unsat {
 		t.Fatalf("False: %+v", r)
 	}
-	if r := eqcheck.Solve(g, aig.True, eqcheck.Options{}); r.Status != eqcheck.Sat {
+	if r := eqcheck.NewSolver(g, eqcheck.Options{}).Solve(aig.True); r.Status != eqcheck.Sat {
 		t.Fatalf("True: %+v", r)
 	}
 	// a & !a is unsatisfiable only via folding; a & b is satisfiable.
-	if r := eqcheck.Solve(g, g.And(a, a.Not()), eqcheck.Options{}); r.Status != eqcheck.Unsat {
+	if r := eqcheck.NewSolver(g, eqcheck.Options{}).Solve(g.And(a, a.Not())); r.Status != eqcheck.Unsat {
 		t.Fatalf("a&!a: %+v", r)
 	}
-	r := eqcheck.Solve(g, g.And(a, b.Not()), eqcheck.Options{})
+	r := eqcheck.NewSolver(g, eqcheck.Options{}).Solve(g.And(a, b.Not()))
 	if r.Status != eqcheck.Sat {
 		t.Fatalf("a&!b: %+v", r)
 	}
@@ -141,7 +141,7 @@ func TestSolve(t *testing.T) {
 		t.Fatalf("model %v does not satisfy a&!b", r.Model)
 	}
 	// Same query with simulation disabled must agree via SAT.
-	r = eqcheck.Solve(g, g.And(a, b.Not()), eqcheck.Options{SimRounds: -1})
+	r = eqcheck.NewSolver(g, eqcheck.Options{SimRounds: -1}).Solve(g.And(a, b.Not()))
 	if r.Status != eqcheck.Sat || r.Stage != "sat" {
 		t.Fatalf("a&!b via sat: %+v", r)
 	}
@@ -469,7 +469,7 @@ func TestRetryLadderEscalatesUnknown(t *testing.T) {
 	g, left, right := wideXorMiter()
 	base := eqcheck.Options{SimRounds: 2, MaxConflicts: 5}
 
-	r := eqcheck.CheckLits(g, left, right, base)
+	r := eqcheck.NewSolver(g, base).CheckLits(left, right)
 	if r.Verdict != eqcheck.Unknown || r.Stats.Retries != 0 {
 		t.Fatalf("ladder off: verdict=%v retries=%d, want unknown/0", r.Verdict, r.Stats.Retries)
 	}
@@ -478,7 +478,7 @@ func TestRetryLadderEscalatesUnknown(t *testing.T) {
 	opt := base
 	opt.RetryUnknown = 20
 	opt.Observer = rec
-	r = eqcheck.CheckLits(g, left, right, opt)
+	r = eqcheck.NewSolver(g, opt).CheckLits(left, right)
 	if r.Verdict != eqcheck.Equivalent || r.Stage != "sat" {
 		t.Fatalf("ladder on: verdict=%v stage=%s, want equivalent/sat", r.Verdict, r.Stage)
 	}
@@ -494,7 +494,7 @@ func TestRetryLadderEscalatesUnknown(t *testing.T) {
 	opt = base
 	opt.RetryUnknown = 20
 	opt.RetryConflictCap = base.MaxConflicts
-	r = eqcheck.CheckLits(g, left, right, opt)
+	r = eqcheck.NewSolver(g, opt).CheckLits(left, right)
 	if r.Verdict != eqcheck.Unknown || r.Stats.Retries != 0 {
 		t.Fatalf("capped ladder: verdict=%v retries=%d, want unknown/0", r.Verdict, r.Stats.Retries)
 	}

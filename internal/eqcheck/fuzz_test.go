@@ -114,8 +114,10 @@ func mutate(nl *netlist.Netlist, src *byteSource) bool {
 }
 
 // perOutputChecks is the per-output path CheckNetlists batches: both frames
-// lowered into one fresh AIG, one solver, and CheckLits on each shared
-// observable in A's order, building each miter just before its query.
+// lowered into one fresh AIG, and CheckLits on a new solver for each shared
+// observable in A's order, building each miter just before its query. It
+// never calls Reset, so comparing it with CheckNetlists, which resets one
+// solver per output, holds a reset solver to a new one.
 func perOutputChecks(t *testing.T, na, nb *netlist.Netlist, opt eqcheck.Options) []eqcheck.OutputCheck {
 	t.Helper()
 	eff := map[string]logic.Value{"$const0": logic.Zero, "$const1": logic.One}
@@ -128,11 +130,11 @@ func perOutputChecks(t *testing.T, na, nb *netlist.Netlist, opt eqcheck.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := eqcheck.NewSolver(g, opt)
 	var out []eqcheck.OutputCheck
 	for _, name := range fa.OutputNames {
 		if lb, ok := fb.Outputs[name]; ok {
-			out = append(out, eqcheck.OutputCheck{Name: name, Result: s.CheckLits(fa.Outputs[name], lb)})
+			r := eqcheck.NewSolver(g, opt).CheckLits(fa.Outputs[name], lb)
+			out = append(out, eqcheck.OutputCheck{Name: name, Result: r})
 		}
 	}
 	return out

@@ -1,14 +1,16 @@
 package eqcheck_test
 
-// solver_test.go pins the warm-Solver contracts added with the incremental
-// CDCL engine: encode-once across the retry ladder, the inclusive conflict
-// budget as seen through Options, assumption solves agreeing with fresh
-// solvers, cancellation between ladder attempts, and the new observability
-// counters.
+// solver_test.go pins the Solver contracts of the incremental CDCL engine:
+// encode-once across the retry ladder, the inclusive conflict budget as seen
+// through Options, assumption solves agreeing with fresh solvers, a reset
+// solver answering exactly as a new one, cancellation between ladder
+// attempts, and the observability counters.
 
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,7 +27,7 @@ func TestEncodeOnceAcrossRetries(t *testing.T) {
 	t.Run("cdcl", func(t *testing.T) {
 		g, left, right := wideXorMiter()
 		opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5, RetryUnknown: 20}
-		r := eqcheck.CheckLits(g, left, right, opt)
+		r := eqcheck.NewSolver(g, opt).CheckLits(left, right)
 		if r.Verdict != eqcheck.Equivalent {
 			t.Fatalf("ladder did not finish the proof: %+v", r)
 		}
@@ -45,7 +47,7 @@ func TestBudgetInclusiveThroughOptions(t *testing.T) {
 	t.Run("cdcl", func(t *testing.T) {
 		g, left, right := wideXorMiter()
 		opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5}
-		r := eqcheck.CheckLits(g, left, right, opt)
+		r := eqcheck.NewSolver(g, opt).CheckLits(left, right)
 		if r.Verdict != eqcheck.Unknown {
 			t.Fatalf("budget 5 decided the wide-XOR miter: %+v", r)
 		}
@@ -116,6 +118,143 @@ func TestSolveUnderMatchesFreshSolvers(t *testing.T) {
 	}
 }
 
+// resetTestAIG grows a random AIG for TestResetMatchesNewSolver: random
+// gates over the inputs and earlier gates, plus pairs of XOR trees over one
+// random subset of the inputs built in opposite association orders. Such a
+// pair is equivalent, so simulation never refutes its miter and the SAT stage
+// has to prove it, and a small conflict budget cannot.
+type resetTestAIG struct {
+	g     *aig.AIG
+	rng   *rand.Rand
+	ins   []aig.Lit
+	pool  []aig.Lit    // every literal built so far
+	pairs [][2]aig.Lit // equivalent XOR-tree pairs
+}
+
+func newResetTestAIG(seed int64) *resetTestAIG {
+	r := &resetTestAIG{g: aig.New(), rng: rand.New(rand.NewSource(seed))}
+	for i := 0; i < 12; i++ {
+		r.ins = append(r.ins, r.g.Input(string(rune('a'+i))))
+	}
+	r.pool = append(r.pool, r.ins...)
+	r.grow(20)
+	return r
+}
+
+// lit picks a literal of the pool, negated half the time.
+func (r *resetTestAIG) lit() aig.Lit {
+	l := r.pool[r.rng.Intn(len(r.pool))]
+	if r.rng.Intn(2) == 0 {
+		l = l.Not()
+	}
+	return l
+}
+
+// grow adds n random gates and, every third call on average, one more
+// equivalent XOR-tree pair.
+func (r *resetTestAIG) grow(n int) {
+	for i := 0; i < n; i++ {
+		var l aig.Lit
+		switch r.rng.Intn(4) {
+		case 0:
+			l = r.g.Xor(r.lit(), r.lit())
+		case 1:
+			l = r.g.Mux(r.lit(), r.lit(), r.lit())
+		default:
+			l = r.g.And(r.lit(), r.lit())
+		}
+		r.pool = append(r.pool, l)
+	}
+	if r.rng.Intn(3) == 0 || len(r.pairs) == 0 {
+		sub := r.rng.Perm(len(r.ins))[:6+r.rng.Intn(len(r.ins)-5)]
+		left, right := aig.False, aig.False
+		for i := range sub {
+			left = r.g.Xor(left, r.ins[sub[i]])
+			right = r.g.Xor(r.ins[sub[len(sub)-1-i]], right)
+		}
+		r.pairs = append(r.pairs, [2]aig.Lit{left, right})
+		r.pool = append(r.pool, left, right)
+	}
+}
+
+// TestResetMatchesNewSolver holds Reset to its contract: one solver, reset
+// before every query, answers a sequence of SolveUnder and CheckLitsUnder
+// queries under assumptions exactly as a new solver per query does — status,
+// stage, model or counterexample, and every Stats field — while the AIG grows
+// between queries. The small-budget option set makes the retry ladder run
+// and leaves some queries Unknown.
+func TestResetMatchesNewSolver(t *testing.T) {
+	sets := []struct {
+		name string
+		opt  eqcheck.Options
+	}{
+		{"default", eqcheck.Options{}},
+		{"nosim", eqcheck.Options{SimRounds: -1}},
+		{"budget3-retry2", eqcheck.Options{MaxConflicts: 3, RetryUnknown: 2}},
+	}
+	for _, set := range sets {
+		t.Run(set.name, func(t *testing.T) {
+			var sat, unknown, retried int
+			tally := func(stage string, unk bool, st eqcheck.Stats) {
+				if stage == "sat" {
+					sat++
+				}
+				if unk {
+					unknown++
+				}
+				if st.Retries > 0 {
+					retried++
+				}
+			}
+			for seed := int64(1); seed <= 8; seed++ {
+				r := newResetTestAIG(seed)
+				reset := eqcheck.NewSolver(r.g, set.opt)
+				for q := 0; q < 16; q++ {
+					r.grow(r.rng.Intn(6))
+					var assumps []aig.Lit
+					for k := r.rng.Intn(3); k > 0; k-- {
+						assumps = append(assumps, r.lit())
+					}
+					reset.Reset()
+					if q%2 == 0 {
+						l := r.lit()
+						if r.rng.Intn(2) == 0 {
+							// The miter of an equivalent pair: unsatisfiable.
+							p := r.pairs[r.rng.Intn(len(r.pairs))]
+							l = r.g.Xor(p[0], p[1])
+						}
+						got := reset.SolveUnder(l, assumps)
+						want := eqcheck.NewSolver(r.g, set.opt).SolveUnder(l, assumps)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d query %d: SolveUnder on the reset solver\n%+v\nnew solver\n%+v", seed, q, got, want)
+						}
+						tally(got.Stage, got.Status == eqcheck.SolveUnknown, got.Stats)
+						continue
+					}
+					a, b := r.lit(), r.lit()
+					if r.rng.Intn(2) == 0 {
+						p := r.pairs[r.rng.Intn(len(r.pairs))]
+						a, b = p[0], p[1]
+					}
+					got := reset.CheckLitsUnder(a, b, assumps)
+					want := eqcheck.NewSolver(r.g, set.opt).CheckLitsUnder(a, b, assumps)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d query %d: CheckLitsUnder on the reset solver\n%+v\nnew solver\n%+v", seed, q, got, want)
+					}
+					tally(got.Stage, got.Verdict == eqcheck.Unknown, got.Stats)
+				}
+			}
+			if sat == 0 {
+				t.Fatal("no query reached the SAT stage")
+			}
+			if set.opt.MaxConflicts > 0 && (unknown == 0 || retried == 0) {
+				t.Fatalf("%d Unknown and %d retried queries; the budget should leave some of each", unknown, retried)
+			}
+			t.Logf("%d queries reached the SAT stage, %d ended Unknown, %d retried", sat, unknown, retried)
+		})
+	}
+}
+
 // TestCheckLitsUnderControl proves equivalence under one control assignment
 // and refutes it under the opposite one, on the same warm solver; the
 // counterexample must respect the assumption it was found under.
@@ -158,7 +297,7 @@ func TestCancelledBetweenRetries(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5, RetryUnknown: 20, Context: ctx}
-		r := eqcheck.CheckLits(g, left, right, opt)
+		r := eqcheck.NewSolver(g, opt).CheckLits(left, right)
 		if r.Verdict != eqcheck.Unknown || r.Stage != "cancelled" {
 			t.Fatalf("verdict=%v stage=%q, want unknown/cancelled", r.Verdict, r.Stage)
 		}
@@ -200,7 +339,7 @@ func TestObserverCountsNewCounters(t *testing.T) {
 	g, left, right := wideXorMiter()
 	rec := obs.New()
 	opt := eqcheck.Options{SimRounds: 2, MaxConflicts: 5, RetryUnknown: 20, Observer: rec}
-	r := eqcheck.CheckLits(g, left, right, opt)
+	r := eqcheck.NewSolver(g, opt).CheckLits(left, right)
 	if r.Verdict != eqcheck.Equivalent {
 		t.Fatalf("ladder did not finish the proof: %+v", r)
 	}

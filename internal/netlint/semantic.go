@@ -16,7 +16,9 @@ import (
 // shared 64-lane random-simulation pre-pass filters out everything a few
 // random patterns already distinguish, and only the surviving candidates pay
 // for SAT queries, each capped by Config.SemanticBudget conflicts and all of
-// them together by maxSemanticQueries.
+// them together by maxSemanticQueries. The queries run on one solver per
+// run, reset before each: they share little beyond the design's inputs, so
+// each gets a new solver's answer without a new solver's allocations.
 
 const (
 	// defaultSemanticBudget is the per-query SAT conflict cap when
@@ -56,6 +58,7 @@ type semState struct {
 	// material for per-literal signatures.
 	rounds [][]uint64
 
+	solver  *eqcheck.Solver
 	queries int
 }
 
@@ -76,19 +79,15 @@ func (c *context) semantic() *semState {
 	s.built = true
 	s.g = g
 	s.frame = f
+	// The pre-pass already simulates more patterns than the solver's own
+	// simulation stage would, so the solver goes straight to SAT.
+	s.solver = eqcheck.NewSolver(g, eqcheck.Options{SimRounds: -1, MaxConflicts: c.cfg.semanticMaxConflicts()})
 	s.seen0 = make([]bool, g.NumNodes())
 	s.seen1 = make([]bool, g.NumNodes())
-	rng := splitmix64{semanticSeed}
+	pat := eqcheck.NewPatterns(semanticSeed)
 	words := make([]uint64, g.NumInputs())
 	for round := 0; round < semanticSimRounds; round++ {
-		for i := range words {
-			words[i] = rng.next()
-			if round == 0 {
-				// Pin one all-zero and one all-one lane: the two
-				// assignments most likely to expose non-constant nets.
-				words[i] = words[i]&^uint64(1) | 1<<63
-			}
-		}
+		pat.Next(words)
 		vals := g.Sim64(words, nil)
 		for n, w := range vals {
 			if w != ^uint64(0) {
@@ -101,21 +100,6 @@ func (c *context) semantic() *semState {
 		s.rounds = append(s.rounds, vals)
 	}
 	return s
-}
-
-// splitmix64 is the same tiny deterministic generator eqcheck uses for its
-// simulation lanes.
-type splitmix64 struct{ s uint64 }
-
-func (r *splitmix64) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
 }
 
 // litSeen reads the pre-pass evidence for a literal (sign-adjusted).
@@ -143,17 +127,18 @@ func (s *semState) litSig(l aig.Lit) uint64 {
 	return h
 }
 
-func (s *semState) solveOpts(maxConflicts int) eqcheck.Options {
-	// The pre-pass already simulated more patterns than Solve would, so
-	// skip Solve's own simulation stage and go straight to SAT.
-	return eqcheck.Options{SimRounds: -1, MaxConflicts: maxConflicts}
+// unsat reports whether l is proved unsatisfiable within the run's
+// per-query budget, on the run's solver reset to a new one's state.
+func (s *semState) unsat(l aig.Lit) bool {
+	s.solver.Reset()
+	return s.solver.Solve(l).Status == eqcheck.Unsat
 }
 
 // provablyConst classifies a literal: proved is true when l is the same
 // value under every input assignment, with val that value. Pre-pass evidence
 // short-circuits the common case (both values observed: not constant, no SAT
 // spent); otherwise one SAT query settles the surviving phase.
-func (s *semState) provablyConst(l aig.Lit, maxConflicts int) (val int, proved bool) {
+func (s *semState) provablyConst(l aig.Lit) (val int, proved bool) {
 	switch l {
 	case aig.False:
 		return 0, true
@@ -171,13 +156,13 @@ func (s *semState) provablyConst(l aig.Lit, maxConflicts int) (val int, proved b
 	if !see1 {
 		// Never observed at 1: candidate constant 0, proved if l is
 		// unsatisfiable.
-		if eqcheck.Solve(s.g, l, s.solveOpts(maxConflicts)).Status == eqcheck.Unsat {
+		if s.unsat(l) {
 			return 0, true
 		}
 		return 0, false
 	}
 	// Never observed at 0: candidate constant 1.
-	if eqcheck.Solve(s.g, l.Not(), s.solveOpts(maxConflicts)).Status == eqcheck.Unsat {
+	if s.unsat(l.Not()) {
 		return 1, true
 	}
 	return 0, false
@@ -193,7 +178,6 @@ func runSemanticConst(c *context) {
 	if !s.built {
 		return
 	}
-	budget := c.cfg.semanticMaxConflicts()
 	for gi := 0; gi < c.nl.GateCount(); gi++ {
 		g := c.nl.Gate(netlist.GateID(gi))
 		if !g.Kind.IsCombinational() {
@@ -203,7 +187,7 @@ func runSemanticConst(c *context) {
 		if !ok {
 			continue
 		}
-		v, proved := s.provablyConst(l, budget)
+		v, proved := s.provablyConst(l)
 		if !proved {
 			continue
 		}
@@ -230,7 +214,6 @@ func runSemanticDup(c *context) {
 	if !s.built {
 		return
 	}
-	budget := c.cfg.semanticMaxConflicts()
 
 	type group struct {
 		lit     aig.Lit
@@ -262,8 +245,7 @@ func runSemanticDup(c *context) {
 				break
 			}
 			s.queries++
-			m := s.g.Xor(l, gr.lit)
-			if eqcheck.Solve(s.g, m, s.solveOpts(budget)).Status == eqcheck.Unsat {
+			if s.unsat(s.g.Xor(l, gr.lit)) {
 				joined = gr
 				break
 			}
@@ -317,7 +299,6 @@ func runDeadMuxBranch(c *context) {
 	if !s.built {
 		return
 	}
-	budget := c.cfg.semanticMaxConflicts()
 	for gi := 0; gi < c.nl.GateCount(); gi++ {
 		g := c.nl.Gate(netlist.GateID(gi))
 		if g.Kind != logic.Mux2 || len(g.Inputs) != 3 {
@@ -328,7 +309,7 @@ func runDeadMuxBranch(c *context) {
 		if !ok {
 			continue
 		}
-		v, proved := s.provablyConst(l, budget)
+		v, proved := s.provablyConst(l)
 		if !proved {
 			continue
 		}

@@ -116,8 +116,8 @@ const (
 	CtrSATLearned
 	// CtrSATRestarts counts CDCL restarts (Luby sequence).
 	CtrSATRestarts
-	// CtrSATAssumpSolves counts incremental assumption solves on a warm
-	// solver (Solver.SolveUnder), as opposed to from-scratch encodings.
+	// CtrSATAssumpSolves counts assumption solves issued to the CDCL engine,
+	// one per retry-ladder attempt of a query that reaches the SAT stage.
 	CtrSATAssumpSolves
 	// CtrSATModelsRejected counts SAT models that failed re-simulation
 	// against the AIG — each one is a solver bug surfaced instead of a
