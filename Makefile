@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet gatevet vet-fix faults serve-smoke chaos chaos-long bench perfbench-check perfbench-smoke race
+.PHONY: build test check vet gatevet vet-fix faults serve-smoke chaos chaos-long bench perfbench-check perfbench-smoke race loc
 
 build:
 	$(GO) build ./...
@@ -97,3 +97,19 @@ chaos-long:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
+
+# loc reports a change's size: lines added, removed and net since BASE
+# (default HEAD~1; the working tree's tracked files are compared, so
+# uncommitted edits count), from git diff --numstat, in three rows: non-test
+# Go, Go tests, and every other file. Binary files count as 0 lines.
+# Usage: make loc BASE=<rev>
+BASE ?= HEAD~1
+loc:
+	@stat="$$(git diff --numstat $(BASE))" || exit 1; \
+	printf '%s\n' "$$stat" | awk -F '\t' ' \
+		NF == 3 { k = "other"; if ($$3 ~ /_test\.go$$/) k = "tests"; else if ($$3 ~ /\.go$$/) k = "go"; \
+			if ($$1 != "-") { add[k] += $$1; del[k] += $$2 } } \
+		END { n = split("go tests other", ks, " "); split("non-test .go|_test.go|other", label, "|"); \
+			printf "%-14s %8s %8s %8s\n", "", "added", "removed", "net"; \
+			for (i = 1; i <= n; i++) { k = ks[i]; \
+				printf "%-14s %8d %8d %+8d\n", label[i], add[k], del[k], add[k] - del[k] } }'

@@ -70,7 +70,6 @@ type AIG struct {
 	inputNode []int32  // node index of each input, by input index
 	inputName []string // name of each input, by input index
 	byName    map[string]int
-	numAnds   int
 }
 
 // New returns an empty AIG holding only the constant node.
@@ -85,9 +84,6 @@ func New() *AIG {
 
 // NumNodes returns the total node count (constant + inputs + ANDs).
 func (g *AIG) NumNodes() int { return len(g.nodes) }
-
-// NumAnds returns the number of AND nodes.
-func (g *AIG) NumAnds() int { return g.numAnds }
 
 // NumInputs returns the number of free input variables.
 func (g *AIG) NumInputs() int { return len(g.inputNode) }
@@ -164,7 +160,6 @@ func (g *AIG) And(a, b Lit) Lit {
 	}
 	idx := len(g.nodes)
 	g.nodes = append(g.nodes, node{fan0: a, fan1: b})
-	g.numAnds++
 	l := Lit(idx) << 1
 	g.strash[key] = l
 	return l
@@ -229,15 +224,10 @@ func (g *AIG) Support(l Lit) []int {
 }
 
 // ConeNodes returns the node indices in the transitive fanin cone of each
-// root (inputs and constant included), in ascending index order.
-func (g *AIG) ConeNodes(roots ...Lit) []int { return g.ConeNodesUntil(nil, roots...) }
-
-// ConeNodesUntil is ConeNodes with the walk cut at every node for which stop
-// (when non-nil) reports true: such a node is left out, and so is anything
-// reachable only through cut nodes. The walk touches only the nodes it
-// returns and their fanins; the visited set is one bit per node up to the
-// highest root, read back in index order.
-func (g *AIG) ConeNodesUntil(stop func(n int) bool, roots ...Lit) []int {
+// root (inputs and constant included), in ascending index order. The walk
+// touches only the nodes it returns and their fanins; the visited set is one
+// bit per node up to the highest root, read back in index order.
+func (g *AIG) ConeNodes(roots ...Lit) []int {
 	top := 0
 	for _, r := range roots {
 		top = max(top, r.Node())
@@ -246,7 +236,7 @@ func (g *AIG) ConeNodesUntil(stop func(n int) bool, roots ...Lit) []int {
 	var stack []int
 	count := 0
 	mark := func(n int) {
-		if seen[n>>6]&(1<<(n&63)) != 0 || (stop != nil && stop(n)) {
+		if seen[n>>6]&(1<<(n&63)) != 0 {
 			return
 		}
 		seen[n>>6] |= 1 << (n & 63)

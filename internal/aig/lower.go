@@ -129,21 +129,23 @@ func AddFrame(g *AIG, nl *netlist.Netlist, pin map[string]logic.Value) (*Frame, 
 	}
 
 	// Combinational gates in topological order. A gate whose output is
-	// pinned is cut: readers already see the constant.
+	// pinned is cut: readers already see the constant. LowerGate keeps none
+	// of its inputs, so one buffer serves every gate.
+	var ins []Lit
 	for _, gi := range order {
 		gate := nl.Gate(gi)
 		if l, ok := pinned(gate.Output); ok {
 			lits[gate.Output], have[gate.Output] = l, true
 			continue
 		}
-		ins := make([]Lit, len(gate.Inputs))
-		for i, in := range gate.Inputs {
+		ins = ins[:0]
+		for _, in := range gate.Inputs {
 			if !have[in] {
 				// Undriven non-PI net (an X source): model it as a free
 				// variable so lowering stays total on lenient netlists.
 				lits[in], have[in] = g.Input(nl.NetName(in)), true
 			}
-			ins[i] = lits[in]
+			ins = append(ins, lits[in])
 		}
 		l, err := g.LowerGate(gate.Kind, ins)
 		if err != nil {
@@ -322,13 +324,4 @@ func (cl *ConeLowerer) LowerCut(view netlist.View, root netlist.NetID, internal 
 		return l, nil
 	}
 	return lower(root)
-}
-
-// LowerCone lowers the depth-limited cone of root under view (cut computed
-// by ConeInternal) and returns both the literal and the internal set, so a
-// second view can be lowered over the identical frontier.
-func (cl *ConeLowerer) LowerCone(view netlist.View, root netlist.NetID, depth int) (Lit, map[netlist.NetID]bool, error) {
-	internal := ConeInternal(view, root, depth)
-	l, err := cl.LowerCut(view, root, internal)
-	return l, internal, err
 }

@@ -17,7 +17,7 @@ package eqcheck
 //     early decision prefixes without losing learned work;
 //   - learned-clause reduction: when the learnt database outgrows its cap
 //     the lower-activity half is deleted (binary and locked clauses are
-//     kept), bounding memory on long incremental sessions.
+//     kept), bounding memory during a long search.
 //
 // The solver is incremental: clauses can be added between solves (at
 // decision level 0), and solveUnder proves a query under a vector of
@@ -27,10 +27,12 @@ package eqcheck
 // retry with a raised conflict budget is therefore a warm re-search: the
 // clause database, activities, and saved phases all carry over.
 //
-// reset empties the solver for an unrelated query while keeping its storage:
-// clause literals live in one slab that reset rewinds, and every per-variable
-// array and watch list is truncated, not freed. A reset solver is
-// indistinguishable from a new one, so it repeats a new one's search.
+// reset empties the solver while keeping its storage: clause literals live
+// in one slab that reset rewinds, and every per-variable array and watch
+// list is truncated, not freed. A reset solver is indistinguishable from a
+// new one, so it repeats a new one's search. The Solver resets its engine
+// before every query that reaches the SAT stage; only a query's own retries
+// share an engine.
 
 import "sort"
 
@@ -80,8 +82,8 @@ type cdcl struct {
 	// (indices must stay stable for the reason links of locked clauses).
 	// Their literals are carved from lits, a slab replaced by one twice its
 	// size when full; a clause keeps the slab it was carved from alive until
-	// reset, and a deleted learnt clause's literals stay in it until then,
-	// so a solver that is never reset holds every clause it ever learned.
+	// reset, and a deleted learnt clause's literals stay in it until then.
+	// The Solver resets before every query, so they last one query.
 	clauses  []clause
 	lits     []intLit
 	scratch  []intLit // clause under construction (addClause, analyze)
@@ -550,7 +552,7 @@ func (s *cdcl) pickBranchVar() int32 {
 // would exceed the budget returns statusUnknown unresolved; a negative
 // budget is unlimited). statusUnsat means no model exists under the
 // assumptions — globally unsat only when s.unsat is also set. The solver
-// always returns at decision level 0, warm for the next query; a satisfying
+// always returns at decision level 0, warm for the next solve; a satisfying
 // assignment is snapshotted into s.model before the exit backtrack.
 func (s *cdcl) solveUnder(assumps []intLit, maxConflicts int) solveStatus {
 	if s.unsat {

@@ -205,13 +205,25 @@ func TestModelVerificationRejectsCorruptModel(t *testing.T) {
 	if res := s.Solve(goal); res.Status != Sat {
 		t.Fatalf("a∧b not sat: %+v", res)
 	}
-	if _, ok := s.modelFromCDCL([]aig.Lit{goal}); !ok {
+	if _, ok := s.modelFromCDCL(goal); !ok {
 		t.Fatal("genuine model rejected")
 	}
 	for i := range s.sat.model {
 		s.sat.model[i] = -1 // force every CNF variable false: a∧b now fails
 	}
-	if _, ok := s.modelFromCDCL([]aig.Lit{goal}); ok {
+	if _, ok := s.modelFromCDCL(goal); ok {
 		t.Fatal("corrupted model passed re-simulation")
+	}
+}
+
+// TestNextBudgetCap pins the retry ladder's cap: a budget already at the cap
+// is not escalated, and a doubling that would pass it stops at it.
+func TestNextBudgetCap(t *testing.T) {
+	s := NewSolver(aig.New(), Options{RetryUnknown: 20})
+	if next, ok := s.nextBudget(retryConflictCap, 0); ok {
+		t.Fatalf("nextBudget(cap) = %d, want no escalation", next)
+	}
+	if next, ok := s.nextBudget(retryConflictCap/2+1, 0); !ok || next != retryConflictCap {
+		t.Fatalf("nextBudget(cap/2+1) = %d, %v; want the cap %d", next, ok, retryConflictCap)
 	}
 }

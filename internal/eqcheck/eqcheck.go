@@ -10,29 +10,24 @@
 //     counterexample assignment. CheckNetlists simulates the miters of all
 //     its outputs in one batch, once per check: every miter sees the
 //     patterns and the first failing lane it would see alone;
-//  3. Tseitin CNF + an incremental CDCL SAT solver (clause learning, VSIDS
-//     branching, Luby restarts; see cdcl.go) — UNSAT of the miter proves
-//     equivalence, SAT yields a counterexample, and an inclusive conflict
-//     budget turns divergence into an explicit Unknown. A budget-exhausted
-//     query escalates through a retry ladder interleaved with fresh-seeded
+//  3. Tseitin CNF + a CDCL SAT solver (clause learning, VSIDS branching,
+//     Luby restarts; see cdcl.go) — UNSAT of the miter proves equivalence,
+//     SAT yields a counterexample, and an inclusive conflict budget turns
+//     divergence into an explicit Unknown. A budget-exhausted query
+//     escalates through a retry ladder interleaved with fresh-seeded
 //     simulation chunks (a deterministic sim/SAT portfolio), and each retry
-//     is a warm re-search on the same solver with the budget doubled.
+//     is a warm re-search of the same query with the budget doubled.
 //
-// A Solver either keeps its SAT engine warm across queries or is reset
-// before each one. Warm, cones are Tseitin-encoded once, queries are asserted
-// as assumptions instead of unit clauses (Solver.SolveUnder), and learned
-// clauses plus branching activities carry over, which makes re-proving
-// near-identical cones (reduce.VerifyCones) or one cone under many control
-// assignments cheap. Reset, each query runs exactly as on a new Solver but
-// reuses the old one's storage: CheckNetlists and the semantic lint rules
-// reset before every SAT query, because their cones share primary inputs
-// and flip-flop states, so on a warm engine every decision would propagate
-// through every cone encoded before it.
+// Every query that reaches the SAT stage starts on an emptied engine: the
+// Solver resets its CDCL engine and encoder, keeping their storage, and
+// encodes the query's cone from variable 0. A query therefore returns
+// exactly what it would on a new Solver, whatever ran before it; reusing a
+// Solver across queries (CheckNetlists, the semantic lint rules,
+// reduce.VerifyCones) saves allocations and changes no answer.
 //
 // Per-query work is bounded by the query's cone, not by the shared AIG: the
-// encoder walks only the unencoded part of a cone, and counterexample
-// supports and the replay of every SAT model (which evaluates the goal's
-// cone under the model) touch the cone alone.
+// encoding, counterexample supports and the replay of every SAT model (which
+// evaluates the goal's cone under the model) touch the cone alone.
 package eqcheck
 
 import (
@@ -75,13 +70,18 @@ func (v Verdict) String() string {
 const (
 	DefaultSimRounds    = 32
 	DefaultMaxConflicts = 20000
-	defaultSeed         = 0x51ab_c0de_2015_dac1
-	// DefaultRetryConflictCap bounds the escalating-retry ladder: 8× the
-	// default conflict budget, reached after three doublings.
-	DefaultRetryConflictCap = 8 * DefaultMaxConflicts
 	// DefaultRestartBase is the CDCL Luby restart unit: the k-th restart
 	// fires after luby(k)·base conflicts.
 	DefaultRestartBase = 128
+)
+
+const (
+	// defaultSeed seeds the simulation stage's pattern generator, so every
+	// result is reproducible.
+	defaultSeed = 0x51ab_c0de_2015_dac1
+	// retryConflictCap bounds the escalating-retry ladder: 8× the default
+	// conflict budget, reached after three doublings.
+	retryConflictCap = 8 * DefaultMaxConflicts
 )
 
 // Options tunes the staged pipeline. The zero value uses the defaults;
@@ -91,9 +91,6 @@ type Options struct {
 	// before falling back to SAT. 0 means DefaultSimRounds; negative skips
 	// simulation.
 	SimRounds int
-	// Seed seeds the deterministic pattern generator. 0 selects a fixed
-	// default, so results are reproducible unless a seed is given.
-	Seed uint64
 	// MaxConflicts bounds the SAT search in solver conflicts; exhausting it
 	// yields Unknown. The bound is inclusive: at most MaxConflicts conflicts
 	// are resolved, and the conflict that would exceed the budget aborts the
@@ -103,20 +100,17 @@ type Options struct {
 	MaxConflicts int
 	// RetryUnknown is the depth of the escalating-retry ladder: a SAT stage
 	// that exhausts its conflict budget (Unknown) is rerun up to RetryUnknown
-	// more times with the budget doubled each attempt, capped at
-	// RetryConflictCap. A retry is a warm re-search — the clause database,
-	// learned clauses, and branching activities carry over, so escalation
-	// costs only the additional search.
+	// more times with the budget doubled each attempt, but never raised past
+	// 8 × DefaultMaxConflicts conflicts; once it cannot rise, a remaining
+	// Unknown is final. A retry is a warm re-search of the same
+	// query — its clause database, learned clauses and branching activities
+	// carry over, so escalation costs only the additional search.
 	// Each escalation is preceded by a fresh-seeded simulation chunk (the
 	// deterministic sim/SAT portfolio), which can short-circuit a refutation
 	// the SAT search is struggling toward. 0 disables retries; retries never
 	// fire on decided (Sat/Unsat) verdicts, so enabling the ladder only
 	// spends effort where the answer was otherwise lost.
 	RetryUnknown int
-	// RetryConflictCap caps the escalated conflict budget (0 means
-	// DefaultRetryConflictCap). Once the cap is reached, a remaining Unknown
-	// is final.
-	RetryConflictCap int
 	// Restarts is the Luby restart base interval of the CDCL engine, in
 	// conflicts. 0 means DefaultRestartBase; negative disables restarts.
 	Restarts int
@@ -126,8 +120,8 @@ type Options struct {
 	// recorder (see internal/obs). Nil costs nothing.
 	Observer *obs.Recorder
 	// Context, when non-nil, is polled between queries by the multi-query
-	// drivers (CheckNetlists, reduce.VerifyCones) and between assumption
-	// solves inside the retry ladder: once it is cancelled, the remaining
+	// drivers (CheckNetlists, reduce.VerifyCones) and between the attempts
+	// of the retry ladder: once it is cancelled, the remaining
 	// work resolves to Unknown with Stage "cancelled" instead of running, so
 	// a deadline yields a strict prefix of decided results. A single
 	// in-flight SAT search is not interrupted.
@@ -157,13 +151,6 @@ func (o Options) simRounds() int {
 	return o.SimRounds
 }
 
-func (o Options) seed() uint64 {
-	if o.Seed == 0 {
-		return defaultSeed
-	}
-	return o.Seed
-}
-
 func (o Options) satEnabled() bool { return o.MaxConflicts >= 0 }
 
 func (o Options) maxConflicts() int {
@@ -171,13 +158,6 @@ func (o Options) maxConflicts() int {
 		return DefaultMaxConflicts
 	}
 	return o.MaxConflicts
-}
-
-func (o Options) retryCap() int {
-	if o.RetryConflictCap <= 0 {
-		return DefaultRetryConflictCap
-	}
-	return o.RetryConflictCap
 }
 
 func (o Options) restartBase() int {
@@ -193,9 +173,8 @@ func (o Options) restartBase() int {
 // Stats reports the work each stage performed. Decisions, Propagations, and
 // Conflicts accumulate across retry-ladder attempts; Retries counts the
 // escalations taken (0 on a first-attempt decision). Vars and Clauses are the
-// size of the solver's CNF after the query: the query's cone alone on a
-// reset Solver (so per output in CheckNetlists), every cone encoded so far on
-// a warm one.
+// size of the query's CNF, which encodes its cone alone; both are 0 when the
+// SAT stage did not run.
 type Stats struct {
 	SimRounds    int `json:"sim_rounds"`
 	Vars         int `json:"vars"`
@@ -205,11 +184,9 @@ type Stats struct {
 	Conflicts    int `json:"conflicts"`
 	Retries      int `json:"retries"`
 	// Encodings counts Tseitin encoding passes that built CNF for this
-	// query. It is at most 1 per query: the encoding is budget-independent,
-	// so retry-ladder escalations never re-encode, and a warm Solver that
-	// has already encoded the cone reports 0. A query on a reset Solver (every
-	// SAT-stage output of CheckNetlists) encodes its cone afresh and reports
-	// 1.
+	// query: 1 exactly when the query reached the SAT stage, and 0
+	// otherwise. The encoding is budget-independent, so retry-ladder
+	// escalations never re-encode.
 	Encodings int `json:"encodings"`
 	// LearnedClauses counts clauses the CDCL engine learned from conflicts
 	// during this query.
@@ -318,89 +295,51 @@ func (p *Patterns) Next(words []uint64) {
 	p.rounds++
 }
 
-// Solver runs the staged pipeline over one shared AIG. Between Resets its
-// SAT engine stays warm: cones are Tseitin-encoded exactly once, each query
-// is asserted as an assumption instead of a unit clause, and learned clauses
-// plus branching activities persist, so proving N related cones, or one cone
-// under N control assignments, costs one encoding and N cheap assumption
-// solves. Reset before a query makes it run exactly as on a new Solver, for
-// callers whose queries share little beyond their inputs. The AIG may keep
-// growing between queries (CheckLits builds miters in place); the encoder
-// picks up new structure on demand.
+// Solver runs the staged pipeline over one shared AIG. Each query that
+// reaches the SAT stage empties the solver's CDCL engine and encoder, keeping
+// their storage, and encodes the query's cone from variable 0, so it returns
+// exactly what it would on NewSolver(g, opt): reusing a Solver saves
+// allocations and changes no answer. The AIG may keep growing between
+// queries (CheckLits builds miters in place).
 //
 // A Solver is not goroutine-safe: give each worker its own (the shared AIG
 // must then not be mutated concurrently either). CheckNetlists, the lint run
-// and reduce.VerifyCones each build their own and drop it on return, so no
-// answer depends on an earlier call.
+// and reduce.VerifyCones each build their own and drop it on return.
 type Solver struct {
 	g   *aig.AIG
 	opt Options
 
-	sat *cdcl    // lazily created on the first SAT-stage query
-	enc *encoder // incremental Tseitin encoder into sat
+	sat *cdcl    // created on the first SAT-stage query, reset before each
+	enc *encoder // Tseitin encoder of the current query's cone into sat
 
 	words, vals []uint64 // simulation scratch
 }
 
 // NewSolver returns a solver over g. The options are fixed for the solver's
-// lifetime.
+// lifetime; its storage is reused by every query, its search by none.
 func NewSolver(g *aig.AIG, opt Options) *Solver {
 	return &Solver{g: g, opt: opt}
 }
 
-// Reset empties the SAT engine — clause database, watch lists, per-variable
-// arrays, activity heap — and the encoder's node-to-variable map, keeping
-// their storage, in time proportional to what the last queries encoded. The
-// next query then returns exactly what it would on NewSolver(g, opt): the
-// same status, model and Stats.
-func (s *Solver) Reset() {
-	if s.sat != nil {
-		s.sat.reset()
-		s.enc.reset()
-	}
-}
-
 // Solve decides satisfiability of literal l: it looks for an input
-// assignment making l true.
-func (s *Solver) Solve(l aig.Lit) SolveResult { return s.SolveUnder(l, nil) }
-
-// SolveUnder decides satisfiability of l with every assumption literal held
-// true. The assumptions are passed to the CDCL solver as solver assumptions —
-// nothing is re-encoded between calls that share cones, so sweeping one cone
-// under many control assignments is the cheap path this solver is built for.
-// Unsat means no model exists under these assumptions. Each query's stage
-// work reports into Options.Observer.
-func (s *Solver) SolveUnder(l aig.Lit, assumps []aig.Lit) SolveResult {
-	sr := s.solveUnder(l, assumps)
+// assignment making l true. Each query's stage work reports into
+// Options.Observer.
+func (s *Solver) Solve(l aig.Lit) SolveResult {
+	var sr SolveResult
+	switch l {
+	// Stage 1: structural constants.
+	case aig.False:
+		sr = SolveResult{Status: Unsat, Stage: "strash"}
+	case aig.True:
+		sr = SolveResult{Status: Sat, Model: map[string]bool{}, Stage: "strash"}
+	default:
+		// Stage 2: 64-bit-parallel random simulation, as a batch of one.
+		q := []simQuery{{goal: l}}
+		s.simulate(q, defaultSeed, s.opt.simRounds())
+		sr = s.finish(q[0])
+	}
 	reportSolve(s.opt.Observer, sr.Stats)
 	return sr
-}
-
-func (s *Solver) solveUnder(l aig.Lit, assumps []aig.Lit) SolveResult {
-	// Stage 1: structural constants. A false goal refutes the query
-	// outright; true goals drop out.
-	goals := make([]aig.Lit, 0, 1+len(assumps))
-	for i := -1; i < len(assumps); i++ {
-		gl := l
-		if i >= 0 {
-			gl = assumps[i]
-		}
-		switch gl {
-		case aig.False:
-			return SolveResult{Status: Unsat, Stage: "strash"}
-		case aig.True:
-			continue
-		}
-		goals = append(goals, gl)
-	}
-	if len(goals) == 0 {
-		return SolveResult{Status: Sat, Model: map[string]bool{}, Stage: "strash"}
-	}
-
-	// Stage 2: 64-bit-parallel random simulation, as a batch of one.
-	q := []simQuery{{goals: goals}}
-	s.simulate(q, s.opt.seed(), s.opt.simRounds())
-	return s.finish(q[0])
 }
 
 // finish decides a query the simulation stage has seen: a hit refutes it
@@ -414,23 +353,23 @@ func (s *Solver) finish(q simQuery) SolveResult {
 	if !s.opt.satEnabled() {
 		return SolveResult{Status: SolveUnknown, Stage: "sim", Stats: st}
 	}
-	return s.solveCDCL(q.goals, st)
+	return s.solveCDCL(q.goal, st)
 }
 
 // simQuery is one query of a simulation batch.
 type simQuery struct {
-	goals  []aig.Lit // literals that must all be true in one lane
-	rounds int       // rounds the query took part in
-	// model assigns the goals' support from the query's first hit (lowest
+	goal   aig.Lit // the literal a lane must make true
+	rounds int     // rounds the query took part in
+	// model assigns the goal's support from the query's first hit (lowest
 	// round, then lowest lane); nil without a hit.
 	model map[string]bool
 }
 
 // simulate runs up to rounds of 64-lane random simulation for a batch of
-// queries, looking for a lane where every goal literal of a query is true.
-// Every query sees the same patterns, so a batch gives each one exactly the
-// rounds, hit and model it would get alone; a query drops out at its first
-// hit, and the batch stops once every query has one.
+// queries, looking for a lane where a query's goal is true. Every query sees
+// the same patterns, so a batch gives each one exactly the rounds, hit and
+// model it would get alone; a query drops out at its first hit, and the
+// batch stops once every query has one.
 func (s *Solver) simulate(batch []simQuery, seed uint64, rounds int) {
 	open := len(batch)
 	if open == 0 || rounds <= 0 {
@@ -451,34 +390,28 @@ func (s *Solver) simulate(batch []simQuery, seed uint64, rounds int) {
 				continue
 			}
 			q.rounds++
-			w := ^uint64(0)
-			for _, gl := range q.goals {
-				w &= aig.Word(s.vals, gl)
-			}
-			if w != 0 {
-				q.model = modelFromWords(s.g, q.goals, words, uint(bits.TrailingZeros64(w)))
+			if w := aig.Word(s.vals, q.goal); w != 0 {
+				q.model = modelFromWords(s.g, q.goal, words, uint(bits.TrailingZeros64(w)))
 				open--
 			}
 		}
 	}
 }
 
-// solveCDCL runs the SAT ladder on the incremental engine: the goal cones
-// are encoded (once between Resets), the goals become solver assumptions,
-// and a retry is another assumption solve with a doubled budget on the same
-// clause database.
-func (s *Solver) solveCDCL(goals []aig.Lit, st Stats) SolveResult {
+// solveCDCL runs the SAT ladder for goal on an emptied engine: the CDCL
+// engine and the encoder are reset, keeping their storage, the goal's cone
+// is encoded from variable 0, and the goal is the solve's one assumption.
+// A retry is another assumption solve with a doubled budget on the same
+// clause database, so the ladder stays warm within the query.
+func (s *Solver) solveCDCL(goal aig.Lit, st Stats) SolveResult {
 	if s.sat == nil {
 		s.sat = newCDCL(s.opt.restartBase())
-		s.enc = newEncoder(s.g, s.sat)
+		s.enc = &encoder{g: s.g, s: s.sat}
 	}
-	if s.enc.ensure(goals...) {
-		st.Encodings++
-	}
-	assumps := make([]intLit, len(goals))
-	for i, gl := range goals {
-		assumps[i] = s.enc.lit(gl)
-	}
+	s.sat.reset()
+	s.enc.encode(goal)
+	st.Encodings = 1
+	assumps := []intLit{s.enc.lit(goal)}
 	budget := s.opt.maxConflicts()
 	for attempt := 0; ; attempt++ {
 		before := s.sat.stats
@@ -504,12 +437,12 @@ func (s *Solver) solveCDCL(goals []aig.Lit, st Stats) SolveResult {
 			}
 			st.Retries++
 			budget = next
-			if res, hit := s.portfolioSim(goals, attempt, &st); hit {
+			if res, hit := s.portfolioSim(goal, attempt, &st); hit {
 				return res
 			}
 			continue
 		}
-		model, ok := s.modelFromCDCL(goals)
+		model, ok := s.modelFromCDCL(goal)
 		if !ok {
 			// The solver's model failed replay: a solver bug.
 			// Degrade to Unknown rather than report a bogus counterexample,
@@ -524,10 +457,7 @@ func (s *Solver) solveCDCL(goals []aig.Lit, st Stats) SolveResult {
 // nextBudget computes the escalated conflict budget for the retry ladder, or
 // reports that the ladder is exhausted.
 func (s *Solver) nextBudget(budget, attempt int) (int, bool) {
-	next := budget * 2
-	if hi := s.opt.retryCap(); next > hi {
-		next = hi
-	}
+	next := min(budget*2, retryConflictCap)
 	if attempt >= s.opt.RetryUnknown || next <= budget {
 		return 0, false
 	}
@@ -539,9 +469,9 @@ func (s *Solver) nextBudget(budget, attempt int) (int, bool) {
 // simulation gets a chance to refute the query outright. The schedule is
 // fixed by attempt counts, never wall time, so results are byte-identical
 // across machines and worker counts.
-func (s *Solver) portfolioSim(goals []aig.Lit, attempt int, st *Stats) (SolveResult, bool) {
-	chunkSeed := s.opt.seed() + uint64(attempt+1)*0xa0761d6478bd642f
-	q := []simQuery{{goals: goals}}
+func (s *Solver) portfolioSim(goal aig.Lit, attempt int, st *Stats) (SolveResult, bool) {
+	chunkSeed := defaultSeed + uint64(attempt+1)*0xa0761d6478bd642f
+	q := []simQuery{{goal: goal}}
 	s.simulate(q, chunkSeed, s.opt.simRounds())
 	st.SimRounds += q[0].rounds
 	if q[0].model == nil {
@@ -551,37 +481,28 @@ func (s *Solver) portfolioSim(goals []aig.Lit, attempt int, st *Stats) (SolveRes
 }
 
 // modelFromWords extracts the assignment of lane from the simulated words,
-// restricted to the goals' support.
-func modelFromWords(g *aig.AIG, goals []aig.Lit, words []uint64, lane uint) map[string]bool {
+// restricted to the goal's support.
+func modelFromWords(g *aig.AIG, goal aig.Lit, words []uint64, lane uint) map[string]bool {
 	model := make(map[string]bool)
-	for _, gl := range goals {
-		for _, i := range g.Support(gl) {
-			model[g.InputName(i)] = words[i]>>lane&1 == 1
-		}
+	for _, i := range g.Support(goal) {
+		model[g.InputName(i)] = words[i]>>lane&1 == 1
 	}
 	return model
 }
 
-// modelFromCDCL reads the input assignment out of the CDCL model and
-// verifies every goal against the AIG by evaluating the goal's cone.
-func (s *Solver) modelFromCDCL(goals []aig.Lit) (map[string]bool, bool) {
+// modelFromCDCL reads the goal's support out of the CDCL model and verifies
+// the goal against the AIG by evaluating its cone under the model. The
+// support lies in the encoded cone, so every input it names has a variable.
+func (s *Solver) modelFromCDCL(goal aig.Lit) (map[string]bool, bool) {
 	model := make(map[string]bool)
 	assign := make([]bool, s.g.NumInputs())
-	for _, gl := range goals {
-		for _, i := range s.g.Support(gl) {
-			v, ok := s.enc.varFor(s.g.InputLit(i).Node())
-			if !ok {
-				continue // outside the encoded cone: value is irrelevant
-			}
-			b := s.sat.modelValue(v)
-			model[s.g.InputName(i)] = b
-			assign[i] = b
-		}
+	for _, i := range s.g.Support(goal) {
+		b := s.sat.modelValue(litVar(s.enc.lit(s.g.InputLit(i))))
+		model[s.g.InputName(i)] = b
+		assign[i] = b
 	}
-	for _, gl := range goals {
-		if !s.g.EvalBool(assign, gl) {
-			return nil, false
-		}
+	if !s.g.EvalBool(assign, goal) {
+		return nil, false
 	}
 	return model, true
 }
@@ -589,13 +510,7 @@ func (s *Solver) modelFromCDCL(goals []aig.Lit) (map[string]bool, bool) {
 // CheckLits decides whether literals a and b compute the same function of
 // the inputs. It may grow the AIG (the miter XOR is built in place, reusing
 // existing structure via hashing).
-func (s *Solver) CheckLits(a, b aig.Lit) Result { return s.CheckLitsUnder(a, b, nil) }
-
-// CheckLitsUnder decides whether a and b compute the same function on every
-// input assignment satisfying the assumption literals — equivalence under a
-// control assignment, with the assumptions passed to the solver instead of
-// baked into a new encoding.
-func (s *Solver) CheckLitsUnder(a, b aig.Lit, assumps []aig.Lit) Result {
+func (s *Solver) CheckLits(a, b aig.Lit) Result {
 	if a == b {
 		return Result{Verdict: Equivalent, Stage: "strash"}
 	}
@@ -604,7 +519,7 @@ func (s *Solver) CheckLitsUnder(a, b aig.Lit, assumps []aig.Lit) Result {
 		// The XOR folded away: equal by construction.
 		return Result{Verdict: Equivalent, Stage: "strash"}
 	}
-	return s.verdict(a, b, s.SolveUnder(m, assumps))
+	return s.verdict(a, b, s.Solve(m))
 }
 
 // verdict maps the solve result of the miter of a and b to an equivalence
@@ -670,9 +585,10 @@ func (r *NetlistResult) Verdict() Verdict {
 // flip-flop outputs). pin forces named nets to constants on both sides before
 // lowering — the cofactor under a control assignment. The tie-off inputs
 // created by reduce.Materialize ("$const0", "$const1") are always pinned to
-// their values. All outputs share one simulation stage; each output that
-// reaches the SAT stage then runs on the check's one solver, reset before it,
-// so it gets a new solver's answer without a new solver's allocations.
+// their values. All outputs share one simulation stage; the outputs that
+// survive it then run, in order, on the check's one solver, each on an
+// emptied SAT engine, so each gets a new solver's answer without a new
+// solver's allocations.
 func CheckNetlists(na, nb *netlist.Netlist, pin map[string]logic.Value, opt Options) (*NetlistResult, error) {
 	eff := make(map[string]logic.Value, len(pin)+2)
 	eff["$const0"] = logic.Zero
@@ -713,13 +629,13 @@ func CheckNetlists(na, nb *netlist.Netlist, pin map[string]logic.Value, opt Opti
 		}
 		if c.m != aig.False && c.m != aig.True {
 			c.sim = len(batch)
-			batch = append(batch, simQuery{goals: []aig.Lit{c.m}})
+			batch = append(batch, simQuery{goal: c.m})
 		}
 		checks = append(checks, c)
 	}
 	// One simulation stage for every miter, then the survivors go to the
 	// SAT engine in output order.
-	solver.simulate(batch, opt.seed(), opt.simRounds())
+	solver.simulate(batch, defaultSeed, opt.simRounds())
 	for _, c := range checks {
 		// Deadline-bounded runs keep the output list complete and in order:
 		// outputs past the cancellation point are Unknown/"cancelled", so a
@@ -735,11 +651,8 @@ func CheckNetlists(na, nb *netlist.Netlist, pin map[string]logic.Value, opt Opti
 		case c.sim < 0:
 			// The constant-true miter of a against !a: the strash stage
 			// refutes it with an empty model, never the simulation.
-			r = solver.verdict(c.a, c.b, solver.SolveUnder(c.m, nil))
+			r = solver.verdict(c.a, c.b, solver.Solve(c.m))
 		default:
-			// A warm engine would propagate every decision on the shared
-			// inputs through every cone encoded before this one.
-			solver.Reset()
 			sr := solver.finish(batch[c.sim])
 			reportSolve(opt.Observer, sr.Stats)
 			r = solver.verdict(c.a, c.b, sr)

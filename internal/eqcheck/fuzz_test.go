@@ -115,9 +115,9 @@ func mutate(nl *netlist.Netlist, src *byteSource) bool {
 
 // perOutputChecks is the per-output path CheckNetlists batches: both frames
 // lowered into one fresh AIG, and CheckLits on a new solver for each shared
-// observable in A's order, building each miter just before its query. It
-// never calls Reset, so comparing it with CheckNetlists, which resets one
-// solver per output, holds a reset solver to a new one.
+// observable in A's order, building each miter just before its query.
+// Comparing it with CheckNetlists, which reuses one solver for every output,
+// holds a reused solver to a new one.
 func perOutputChecks(t *testing.T, na, nb *netlist.Netlist, opt eqcheck.Options) []eqcheck.OutputCheck {
 	t.Helper()
 	eff := map[string]logic.Value{"$const0": logic.Zero, "$const1": logic.One}

@@ -17,8 +17,8 @@ import (
 // random patterns already distinguish, and only the surviving candidates pay
 // for SAT queries, each capped by Config.SemanticBudget conflicts and all of
 // them together by maxSemanticQueries. The queries run on one solver per
-// run, reset before each: they share little beyond the design's inputs, so
-// each gets a new solver's answer without a new solver's allocations.
+// run, which empties its SAT engine before each, so each gets a new
+// solver's answer without a new solver's allocations.
 
 const (
 	// defaultSemanticBudget is the per-query SAT conflict cap when
@@ -128,9 +128,8 @@ func (s *semState) litSig(l aig.Lit) uint64 {
 }
 
 // unsat reports whether l is proved unsatisfiable within the run's
-// per-query budget, on the run's solver reset to a new one's state.
+// per-query budget.
 func (s *semState) unsat(l aig.Lit) bool {
-	s.solver.Reset()
 	return s.solver.Solve(l).Status == eqcheck.Unsat
 }
 

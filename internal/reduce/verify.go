@@ -78,11 +78,9 @@ func (r *Reduction) VerifyCones(roots []netlist.NetID, depth int, opt eqcheck.Op
 	g := aig.New()
 	cl := aig.NewConeLowerer(g, r.nl.NetName)
 	orig := constView{nl: r.nl, r: r}
-	// One warm solver serves every root: rewritten cones overlap heavily with
-	// their originals (and with each other through shared logic), so the CDCL
-	// engine encodes the shared structure once and carries learned clauses and
-	// branching activities from cone to cone, asserting each miter as an
-	// assumption instead of rebuilding CNF per root.
+	// One solver serves every root and keeps its storage; each root's miter
+	// that reaches the SAT stage runs on an emptied engine, so a root's check
+	// does not depend on the roots checked before it.
 	solver := eqcheck.NewSolver(g, opt)
 	res := &VerifyResult{}
 	for _, root := range roots {

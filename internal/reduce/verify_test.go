@@ -2,6 +2,7 @@ package reduce
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"gatewords/internal/eqcheck"
@@ -113,6 +114,39 @@ func TestVerifyConesRefutesBrokenRewrite(t *testing.T) {
 	}
 	if res.Sound() {
 		t.Fatal("Sound() true despite refutation")
+	}
+}
+
+// TestVerifyConesIndependentOfOrder checks that a root's verification does
+// not depend on the roots checked before it in the same sweep. With g2
+// wrongly rewritten to AND(b, a) and simulation off, both y's and z's miters
+// reach the SAT stage; each root's check from a two-root sweep, in either
+// order, must equal its check from a sweep of that root alone, Stats
+// included.
+func TestVerifyConesIndependentOfOrder(t *testing.T) {
+	nl := buildVerifyNetlist(t)
+	c, a, b := mustID(t, nl, "c"), mustID(t, nl, "a"), mustID(t, nl, "b")
+	y, z := mustID(t, nl, "y"), mustID(t, nl, "z")
+	red, err := Apply(nl, map[netlist.NetID]logic.Value{c: logic.Zero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	red.eff = map[netlist.GateID]effGate{nl.Net(y).Driver: {kind: logic.And, ins: []netlist.NetID{b, a}}}
+	opt := eqcheck.Options{SimRounds: -1}
+	alone := make(map[netlist.NetID]ConeCheck)
+	for _, root := range []netlist.NetID{y, z} {
+		chk := red.VerifyCones([]netlist.NetID{root}, 8, opt).Checks[0]
+		if chk.Stage != "sat" {
+			t.Fatalf("root %s decided at stage %q, want sat", chk.Name, chk.Stage)
+		}
+		alone[root] = chk
+	}
+	for _, order := range [][]netlist.NetID{{y, z}, {z, y}} {
+		for _, got := range red.VerifyCones(order, 8, opt).Checks {
+			if want := alone[got.Root]; !reflect.DeepEqual(got, want) {
+				t.Errorf("root %s in sweep %v:\n%+v\nalone:\n%+v", got.Name, order, got, want)
+			}
+		}
 	}
 }
 

@@ -72,9 +72,6 @@ func (c Cost) String() string {
 	return fmt.Sprintf("%d", uint32(c))
 }
 
-// Finite reports whether the cost is below Inf.
-func (c Cost) Finite() bool { return c != Inf }
-
 // Pair is the (CC0, CC1) controllability of one net.
 type Pair struct {
 	C0, C1 Cost
