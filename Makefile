@@ -77,8 +77,9 @@ faults:
 
 # serve-smoke boots the wordidd daemon end to end under the race detector:
 # listen on an ephemeral port, submit a benchmark job over HTTP, poll it to
-# completion, resubmit for a cache hit, check /metrics balances, then drain
-# via SIGTERM and require exit 0.
+# completion, resubmit its exact body (a hit without a JSON decode) and a
+# re-spaced copy (a hit through the decode), check /metrics balances, then
+# drain via SIGTERM and require exit 0.
 serve-smoke:
 	$(GO) test -race -count=1 -run '^TestServeSmoke$$' -v ./cmd/wordidd/
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -36,8 +37,9 @@ var listenLine = regexp.MustCompile(`listening on (http://[0-9.]+:[0-9]+)`)
 
 // TestServeSmoke is the end-to-end daemon exercise behind `make serve-smoke`:
 // boot wordidd on an ephemeral port, submit a benchmark job over HTTP, poll
-// it to completion, check /metrics, resubmit for a cache hit, then shut the
-// daemon down with SIGTERM and require a clean exit.
+// it to completion, resubmit its exact body and a re-spaced copy for two
+// cache hits, check /metrics, then shut the daemon down with SIGTERM and
+// require a clean exit.
 func TestServeSmoke(t *testing.T) {
 	stdout := &lockedBuffer{}
 	stderr := &lockedBuffer{}
@@ -124,10 +126,19 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("report module = %v, want b08a", report["module"])
 	}
 
-	// A byte-identical resubmission must be served from the cache.
+	// A byte-identical resubmission is served from the cache without a
+	// decode; a re-spaced copy with its fields reordered is the same request
+	// and is served the same report through a decode.
 	dup, code := submit(`{"bench": "b08a", "options": {"evaluate": true}}`)
 	if code != http.StatusOK || dup["cached"] != true {
 		t.Fatalf("duplicate submit: status %d, cached=%v", code, dup["cached"])
+	}
+	respaced, code := submit(`{"options": {"evaluate": true}, "bench": "b08a"}`)
+	if code != http.StatusOK || respaced["cached"] != true {
+		t.Fatalf("re-spaced duplicate submit: status %d, cached=%v", code, respaced["cached"])
+	}
+	if !reflect.DeepEqual(respaced["report"], dup["report"]) || respaced["key"] != dup["key"] {
+		t.Errorf("re-spaced duplicate served key %v and another report than the exact one's (key %v)", respaced["key"], dup["key"])
 	}
 
 	resp, err = http.Get(base + "/metrics")
@@ -147,8 +158,8 @@ func TestServeSmoke(t *testing.T) {
 	if err := json.Unmarshal(metricsBody, &metrics); err != nil {
 		t.Fatalf("metrics: %v\n%s", err, metricsBody)
 	}
-	if metrics.Server.JobsDone != 2 || metrics.Server.PipelineRuns != 1 || metrics.Server.CacheHits != 1 {
-		t.Errorf("metrics done/runs/hits = %d/%d/%d, want 2/1/1\n%s",
+	if metrics.Server.JobsDone != 3 || metrics.Server.PipelineRuns != 1 || metrics.Server.CacheHits != 2 {
+		t.Errorf("metrics done/runs/hits = %d/%d/%d, want 3/1/2\n%s",
 			metrics.Server.JobsDone, metrics.Server.PipelineRuns, metrics.Server.CacheHits, metricsBody)
 	}
 	if len(metrics.Pipeline) == 0 || string(metrics.Pipeline) == "null" {

@@ -184,22 +184,6 @@ func (k Kind) ControllingValue() (Value, bool) {
 	return X, false
 }
 
-// ControlledOutput returns the output produced when a controlling value is
-// applied to a k-kind gate (the "controlled value"), and whether k has one.
-func (k Kind) ControlledOutput() (Value, bool) {
-	switch k {
-	case And:
-		return Zero, true
-	case Nand:
-		return One, true
-	case Or:
-		return One, true
-	case Nor:
-		return Zero, true
-	}
-	return X, false
-}
-
 // Eval computes the output of a k-kind combinational gate over three-valued
 // inputs. The result is X unless the known inputs fully determine it. Eval
 // panics if the arity is invalid for k, since that indicates a malformed

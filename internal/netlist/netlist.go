@@ -12,7 +12,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gatewords/internal/logic"
@@ -452,15 +451,4 @@ func (nl *Netlist) describeFirstCycle() string {
 		s += fmt.Sprintf(", +%d more", len(cyc)-maxNamed)
 	}
 	return s
-}
-
-// SortedNetNames returns all net names sorted; intended for deterministic
-// test output and debugging.
-func (nl *Netlist) SortedNetNames() []string {
-	names := make([]string, len(nl.nets))
-	for i := range nl.nets {
-		names[i] = nl.nets[i].Name
-	}
-	sort.Strings(names)
-	return names
 }

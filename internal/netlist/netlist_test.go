@@ -242,17 +242,6 @@ func TestTopoOrderDetectsCombinationalCycle(t *testing.T) {
 	}
 }
 
-func TestSortedNetNames(t *testing.T) {
-	nl, _, _, _, _ := small(t)
-	names := nl.SortedNetNames()
-	want := []string{"a", "b", "q", "y"}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("sorted names = %v", names)
-		}
-	}
-}
-
 func TestBaseViewImplementation(t *testing.T) {
 	nl, a, _, y, q := small(t)
 	if nl.DriverOf(a) != NoGate {

@@ -91,17 +91,6 @@ type Result struct {
 	Rounds int
 }
 
-// Derived returns only the non-seed words.
-func (r *Result) Derived() []Word {
-	var out []Word
-	for _, w := range r.Words {
-		if w.Dir != Seed {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // Expand propagates the seed words through nl.
 func Expand(nl *netlist.Netlist, seeds [][]netlist.NetID, opt Options) *Result {
 	opt = opt.withDefaults()

@@ -9,6 +9,17 @@ import (
 	"gatewords/internal/synth"
 )
 
+// derived returns the non-seed words of r.
+func derived(r *Result) []Word {
+	var out []Word
+	for _, w := range r.Words {
+		if w.Dir != Seed {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
 // datapath synthesizes: r = sel ? (a ^ b) : r, observing that backward
 // propagation from the register's D word should recover the XOR word and
 // then the a/b primary-input buses.
@@ -72,7 +83,7 @@ func TestBackwardRecoversOperandBuses(t *testing.T) {
 		t.Errorf("register output word not recovered (backward through the mux A pin)")
 	}
 	// Provenance: derived words must reference a valid parent.
-	for _, w := range res.Derived() {
+	for _, w := range derived(res) {
 		if w.From < 0 || w.From >= len(res.Words) {
 			t.Errorf("bad provenance: %+v", w)
 		}
@@ -105,7 +116,7 @@ func TestForwardThroughGateColumn(t *testing.T) {
 		t.Errorf("forward column not derived: %+v", res.Words)
 	}
 	forward := false
-	for _, w := range res.Derived() {
+	for _, w := range derived(res) {
 		if w.Dir == Forward {
 			forward = true
 		}
@@ -137,7 +148,7 @@ func TestBackwardSkipsSharedSelect(t *testing.T) {
 	if !hasWord(t, nl, res, []string{"a0", "a1", "a2"}) {
 		t.Error("operand word not derived")
 	}
-	for _, w := range res.Derived() {
+	for _, w := range derived(res) {
 		for _, b := range w.Bits {
 			if nl.NetName(b) == "sel" {
 				t.Error("shared select leaked into a derived word")
@@ -160,8 +171,8 @@ func TestMixedDriverKindsStopBackward(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Expand(nl, [][]netlist.NetID{{x, y}}, Options{})
-	if len(res.Derived()) != 0 {
-		t.Errorf("mixed driver kinds must not derive words: %+v", res.Derived())
+	if len(derived(res)) != 0 {
+		t.Errorf("mixed driver kinds must not derive words: %+v", derived(res))
 	}
 }
 

@@ -33,15 +33,6 @@ type Ref struct{ Name string }
 // Const is a constant word; Bits[0] is bit 0 (LSB).
 type Const struct{ Bits []bool }
 
-// ConstUint builds a Const of the given width from an unsigned value.
-func ConstUint(v uint64, width int) Const {
-	bits := make([]bool, width)
-	for i := 0; i < width; i++ {
-		bits[i] = v>>uint(i)&1 == 1
-	}
-	return Const{Bits: bits}
-}
-
 // Not is bitwise complement.
 type Not struct{ A Expr }
 

@@ -36,16 +36,6 @@ func toUint(t *testing.T, v []logic.Value) uint64 {
 	return out
 }
 
-func TestConstUint(t *testing.T) {
-	c := ConstUint(0b1011, 4)
-	want := []bool{true, true, false, true}
-	for i, b := range want {
-		if c.Bits[i] != b {
-			t.Fatalf("ConstUint bits = %v", c.Bits)
-		}
-	}
-}
-
 func TestValidateGood(t *testing.T) {
 	d := &Design{
 		Name:   "ok",

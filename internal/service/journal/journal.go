@@ -38,10 +38,12 @@ const MaxRecordBytes = 1 << 28 // 256 MiB
 
 const headerBytes = 8 // 4-byte length + 4-byte CRC32
 
-// Record is one journaled lifecycle event. Job and Event identify the
-// transition; Data carries the event's payload (report bytes, error text,
-// submission source) as the JSON Append encoded from the caller's value —
-// the journal itself does not interpret it.
+// Record is one journaled lifecycle event, the {job, event, data} object
+// every payload holds. Job and Event identify the transition; Data carries
+// the event's payload (report bytes, error text, submission source) as the
+// JSON Append encoded from the caller's value — the journal itself does not
+// interpret it. Replay decodes payloads as Records; Open hands them to its
+// caller, which can decode data into its own types in the same pass.
 type Record struct {
 	Job   string          `json:"job"`
 	Event string          `json:"event"`
@@ -59,76 +61,91 @@ type Journal struct {
 
 // Open opens (creating if absent) the journal at path, replays its records,
 // truncates any torn tail so subsequent appends start on a record boundary,
-// and returns the journal positioned for append, the replayed records, and
-// the number of torn tails discarded (0 or 1: a tear ends the replay).
-func Open(path string) (*Journal, []Record, int, error) {
+// and returns the journal positioned for append and the number of torn
+// tails discarded (0 or 1: a tear ends the replay). Open hands each
+// checksummed payload, in log order, to decode, which must not keep the
+// slice past the call. A payload decode rejects is not a record of this
+// journal: it ends the replay and counts as torn, like a broken frame.
+func Open(path string, decode func(payload []byte) error) (*Journal, int, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
+		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
-	records, valid, torn, err := replay(f)
+	valid, torn, err := replay(f, decode)
 	if err != nil {
 		f.Close()
-		return nil, nil, 0, fmt.Errorf("journal %s: %w", path, err)
+		return nil, 0, fmt.Errorf("journal %s: %w", path, err)
 	}
 	if err := f.Truncate(valid); err != nil {
 		f.Close()
-		return nil, nil, 0, fmt.Errorf("journal %s: truncating torn tail: %w", path, err)
+		return nil, 0, fmt.Errorf("journal %s: truncating torn tail: %w", path, err)
 	}
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
-		return nil, nil, 0, fmt.Errorf("journal %s: %w", path, err)
+		return nil, 0, fmt.Errorf("journal %s: %w", path, err)
 	}
-	return &Journal{f: f}, records, torn, nil
+	return &Journal{f: f}, torn, nil
 }
 
 // Replay reads every valid record from r, stopping at the first torn or
-// corrupt one. It returns the valid prefix and the number of torn tails
+// corrupt one, where a checksummed payload that does not decode as a Record
+// is corrupt too. It returns the valid prefix and the number of torn tails
 // encountered (0 or 1). Only a real read error is an error: corruption is a
 // counted, expected outcome of a crash, not a failure.
 func Replay(r io.Reader) ([]Record, int, error) {
-	records, _, torn, err := replay(r)
+	var records []Record
+	_, torn, err := replay(r, func(payload []byte) error {
+		var rec Record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		records = append(records, rec)
+		return nil
+	})
 	return records, torn, err
 }
 
-// replay also returns the byte offset just past the last valid record, for
-// Open's truncation.
-func replay(r io.Reader) (records []Record, valid int64, torn int, err error) {
+// replay hands every valid payload to decode and returns the byte offset
+// just past the last valid record, for Open's truncation. One buffer, grown
+// to the largest payload, holds each payload in turn.
+func replay(r io.Reader, decode func(payload []byte) error) (valid int64, torn int, err error) {
 	br := newByteCounter(r)
 	var header [headerBytes]byte
+	var payload []byte
 	for {
 		valid = br.n
 		if _, err := io.ReadFull(br, header[:]); err != nil {
 			if errors.Is(err, io.EOF) {
-				return records, valid, torn, nil // clean end
+				return valid, torn, nil // clean end
 			}
 			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, valid, torn + 1, nil // torn header
+				return valid, torn + 1, nil // torn header
 			}
-			return records, valid, torn, err
+			return valid, torn, err
 		}
 		length := binary.LittleEndian.Uint32(header[0:4])
 		sum := binary.LittleEndian.Uint32(header[4:8])
 		if length == 0 || length > MaxRecordBytes {
-			return records, valid, torn + 1, nil // implausible length: corrupt
+			return valid, torn + 1, nil // implausible length: corrupt
 		}
-		payload := make([]byte, length)
+		if uint32(cap(payload)) < length {
+			payload = make([]byte, length)
+		}
+		payload = payload[:length]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, valid, torn + 1, nil // torn payload
+				return valid, torn + 1, nil // torn payload
 			}
-			return records, valid, torn, err
+			return valid, torn, err
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			return records, valid, torn + 1, nil // bit rot or torn overwrite
+			return valid, torn + 1, nil // bit rot or torn overwrite
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if decode(payload) != nil {
 			// A checksummed payload that is not a record was written by
 			// something that is not this journal; stop rather than guess.
-			return records, valid, torn + 1, nil
+			return valid, torn + 1, nil
 		}
-		records = append(records, rec)
 	}
 }
 

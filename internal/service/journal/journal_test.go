@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -19,6 +21,20 @@ func rec(job, event, data string) Record {
 		r.Data = json.RawMessage(data)
 	}
 	return r
+}
+
+// openRecords opens the journal at path, decoding its payloads as Records.
+func openRecords(path string) (*Journal, []Record, int, error) {
+	var records []Record
+	j, torn, err := Open(path, func(payload []byte) error {
+		var rec Record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		records = append(records, rec)
+		return nil
+	})
+	return j, records, torn, err
 }
 
 // appendRec journals r through Append, handing its raw payload over as the
@@ -35,7 +51,7 @@ func appendRec(j *Journal, r Record) error {
 // same N back, torn count zero, and appends after reopen extend the log.
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	j, records, torn, err := Open(path)
+	j, records, torn, err := openRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, records, torn, err := Open(path)
+	j2, records, torn, err := openRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +87,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	_, records, _, err = Open(path)
+	_, records, _, err = openRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +118,7 @@ func TestAppendMatchesEncode(t *testing.T) {
 		"plain",
 	}
 	path := filepath.Join(t.TempDir(), "j.wal")
-	j, _, _, err := Open(path)
+	j, _, _, err := openRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +254,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, records, tornCount, err := Open(path)
+	j, records, tornCount, err := openRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +266,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	}
 	j.Close()
 
-	_, records, tornCount, err = Open(path)
+	_, records, tornCount, err = openRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +276,60 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestOpenStopsAtRejectedPayload pins Open's decode contract: the first
+// payload the caller's decode rejects ends the replay as one torn tail, and
+// Open truncates the log there, so a reopen sees only the records before it.
+// Each payload handed to decode is exactly the one appended.
+func TestOpenStopsAtRejectedPayload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	want := []Record{
+		rec("job-000001", "done", `{"report":"`+strings.Repeat("x", 4096)+`"}`),
+		rec("job-000001", "running", ""),
+		rec("job-000002", "alien", ""),
+		rec("job-000003", "running", ""),
+	}
+	var buf bytes.Buffer
+	for _, r := range want {
+		if err := AppendTo(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seen []Record
+	j, torn, err := Open(path, func(payload []byte) error {
+		var r Record
+		if err := json.Unmarshal(payload, &r); err != nil {
+			return err
+		}
+		if r.Event == "alien" {
+			return errors.New("not a record of this journal")
+		}
+		seen = append(seen, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if torn != 1 || !reflect.DeepEqual(seen, want[:2]) {
+		t.Fatalf("open: torn %d, decoded %+v; want 1, %+v", torn, seen, want[:2])
+	}
+	_, records, torn, err := openRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn != 0 || !reflect.DeepEqual(records, want[:2]) {
+		t.Fatalf("reopen after truncation: torn %d, %+v", torn, records)
+	}
+}
+
 // TestConcurrentAppend pins that concurrent appenders interleave whole
 // records: replay sees every record intact, in some order.
 func TestConcurrentAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	j, _, _, err := Open(path)
+	j, _, _, err := openRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +350,7 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 	wg.Wait()
 	j.Close()
-	_, records, torn, err := Open(path)
+	_, records, torn, err := openRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +368,7 @@ func TestConcurrentAppend(t *testing.T) {
 
 // TestAppendAfterClose pins the closed-journal contract.
 func TestAppendAfterClose(t *testing.T) {
-	j, _, _, err := Open(filepath.Join(t.TempDir(), "j.wal"))
+	j, _, _, err := openRecords(filepath.Join(t.TempDir(), "j.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,13 @@ import (
 //	                     invariant replay preserves)
 //	failed    (worker)   the failure message
 //
-// Replay at startup (New with Config.JournalPath) folds the records into
-// per-job outcomes: terminal jobs are restored verbatim — done jobs serve
-// byte-identical reports, completed primaries re-seed the result cache —
-// and non-terminal jobs are either re-enqueued (Config.Resume, queued jobs
-// with a journaled source) or honestly marked failed as interrupted. Torn
-// tails were already discarded and counted by journal.Open.
+// Replay at startup (New with Config.JournalPath) decodes each record once,
+// as journal.Open reads it, and folds the records into per-job outcomes:
+// terminal jobs are restored verbatim — done jobs serve byte-identical
+// reports, completed primaries re-seed the result cache — and non-terminal
+// jobs are either re-enqueued (Config.Resume, queued jobs with a journaled
+// source) or honestly marked failed as interrupted. Torn tails are
+// discarded and counted by journal.Open.
 //
 // Journals written before keys addressed the exact request still replay:
 // their cache hits carry a source and a done record of their own, and their
@@ -116,10 +117,67 @@ type replJob struct {
 	failMsg string
 }
 
+// replayRecord is one journal payload decoded in a single pass: its job and
+// event, and its data read into the fields of all three data-carrying
+// events at once (their JSON names are distinct).
+type replayRecord struct {
+	Job   string     `json:"job"`
+	Event string     `json:"event"`
+	Data  recordData `json:"data"`
+	// doneOK reports that data decodes whole as a done record, which a
+	// done record needs in order to count.
+	doneOK bool
+}
+
+type recordData struct {
+	acceptedData
+	doneData
+	failedData
+}
+
+// decodeRecord decodes one journal payload. A payload that is not a {job,
+// event, data} record is an error, which ends the replay as a torn tail.
+// One json.Unmarshal settles every payload Append writes. A payload it does
+// not settle, because a field has the wrong type or a done record's data
+// is empty (which that decode cannot tell from a record without data), is
+// decoded again in two passes: the record with raw data, then the data as
+// its event's type. A CRC-valid record whose data does not decode is a
+// version skew, not a tear: an accepted record keeps its job with the
+// fields that did decode (without a source it fails honestly later), a
+// failed record keeps its job failed, and a done record is ignored. The
+// one pass and the two agree on every payload that names data once, as
+// every payload Append writes does.
+func decodeRecord(payload []byte) (replayRecord, error) {
+	var rec replayRecord
+	if json.Unmarshal(payload, &rec) == nil {
+		if rec.Event != "done" {
+			return rec, nil
+		}
+		if d := rec.Data.doneData; len(d.Report) > 0 || d.Primary != "" || d.Interrupted {
+			rec.doneOK = true
+			return rec, nil
+		}
+	}
+	var raw journal.Record
+	if err := json.Unmarshal(payload, &raw); err != nil {
+		return replayRecord{}, err
+	}
+	rec = replayRecord{Job: raw.Job, Event: raw.Event}
+	switch raw.Event {
+	case "accepted":
+		_ = json.Unmarshal(raw.Data, &rec.Data.acceptedData) // best effort
+	case "done":
+		rec.doneOK = json.Unmarshal(raw.Data, &rec.Data.doneData) == nil
+	case "failed":
+		_ = json.Unmarshal(raw.Data, &rec.Data.failedData) // best effort
+	}
+	return rec, nil
+}
+
 // replayJournal rebuilds the job store from the journal's records. Called
 // from New before the workers start, with the store empty; it takes the
 // mutex anyway so the helpers it shares with the serving path stay honest.
-func (s *Server) replayJournal(records []journal.Record, torn int) {
+func (s *Server) replayJournal(records []replayRecord, torn int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -135,11 +193,7 @@ func (s *Server) replayJournal(records []journal.Record, torn int) {
 			if byID[rec.Job] != nil {
 				continue // duplicate accepted: first wins
 			}
-			j := &replJob{id: rec.Job, state: StateQueued}
-			// A CRC-valid record with an undecodable payload is a version
-			// skew, not a tear; the job is kept and will fail honestly below
-			// for lack of a source.
-			_ = json.Unmarshal(rec.Data, &j.acc)
+			j := &replJob{id: rec.Job, state: StateQueued, acc: rec.Data.acceptedData}
 			if j.acc.Cached && j.acc.CacheFrom != "" {
 				j.state = StateDone // a hit is terminal at acceptance
 				j.done = &doneData{Primary: j.acc.CacheFrom}
@@ -151,19 +205,15 @@ func (s *Server) replayJournal(records []journal.Record, torn int) {
 				j.state = StateRunning
 			}
 		case "done":
-			if j := byID[rec.Job]; j != nil && j.state != StateDone && j.state != StateFailed {
-				var d doneData
-				if err := json.Unmarshal(rec.Data, &d); err == nil {
-					j.state = StateDone
-					j.done = &d
-				}
+			if j := byID[rec.Job]; j != nil && j.state != StateDone && j.state != StateFailed && rec.doneOK {
+				d := rec.Data.doneData
+				j.state = StateDone
+				j.done = &d
 			}
 		case "failed":
 			if j := byID[rec.Job]; j != nil && j.state != StateDone && j.state != StateFailed {
-				var d failedData
-				_ = json.Unmarshal(rec.Data, &d)
 				j.state = StateFailed
-				j.failMsg = d.Error
+				j.failMsg = rec.Data.Error
 			}
 		}
 	}

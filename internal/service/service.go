@@ -14,14 +14,18 @@
 // Repeat submissions are the common case a service sees, so results are
 // content-addressed: the cache key is a SHA-256 of the exact request (bench
 // name, top and Verilog text, plus the normalized job options), looked up
-// before the source is parsed. A duplicate of a completed job is served from
-// the cache with byte-identical report JSON at the cost of one hash; a
-// duplicate of a job still queued or running coalesces onto it and shares
-// its one pipeline execution. Because the key covers the exact text, a hit
-// never serves a report that a fresh run of its own request would not give
-// (§2.2 grouping reads declaration order, so a reordered file is a
-// different request). GET /metrics serves the server counters plus the
-// merged observability recorders of every completed job.
+// before the source is parsed. The POST handler first hashes the raw body:
+// once a body has decoded to the key of a cached report, the same bytes are
+// answered from that entry without decoding their JSON, as equal bytes
+// decode to the same request. So an exact duplicate of a completed job is
+// served byte-identical report JSON at the cost of one hash of its body; a
+// duplicate in another spacing or field order pays a decode and a hash of
+// the request. A duplicate of a job still queued or running coalesces onto
+// it and shares its one pipeline execution. Because the key covers the
+// exact text, a hit never serves a report that a fresh run of its own
+// request would not give (§2.2 grouping reads declaration order, so a
+// reordered file is a different request). GET /metrics serves the server
+// counters plus the merged observability recorders of every completed job.
 package service
 
 import (
@@ -244,6 +248,7 @@ type Job struct {
 	timeout time.Duration
 	design  *gatewords.Design // released once the job is terminal
 	waiters []*Job            // coalesced duplicates completed alongside
+	body    bodySum           // the POST body of a primary, for its cache entry
 }
 
 // Counters are the server-level metrics, served under "server" in /metrics.
@@ -346,7 +351,14 @@ func New(cfg Config) (*Server, error) {
 		s.breaker = newBreaker(cfg.QuarantineFailures, cfg.QuarantineTTL)
 	}
 	if cfg.JournalPath != "" {
-		j, records, torn, err := journal.Open(cfg.JournalPath)
+		var records []replayRecord
+		j, torn, err := journal.Open(cfg.JournalPath, func(payload []byte) error {
+			rec, err := decodeRecord(payload)
+			if err == nil {
+				records = append(records, rec)
+			}
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("opening journal: %w", err)
 		}
@@ -435,7 +447,12 @@ type submitError struct {
 func (e *submitError) Error() string { return e.msg }
 
 // Submit admits one submission as a job. The returned job is already
-// terminal for cache hits (State done, Cached set).
+// terminal for cache hits (State done, Cached set). The HTTP handler calls
+// it for every body it does not answer from the raw bytes alone: any body
+// whose sum no cached report holds (a first submission, a duplicate of a
+// job still in flight, a body whose entry was evicted or has since been
+// reached by another body), and every body while the server drains or
+// after it closes.
 //
 // Hits and coalescing are keyed on the exact request, so they are answered
 // in a first critical section before anything is parsed. Only a miss
@@ -541,26 +558,7 @@ func (s *Server) answerLocked(key string, opts JobOptions, src Source) (*Job, er
 		return nil, &submitError{status: 503, msg: "server is draining", retryAfter: 1}
 	}
 	if e, ok := s.cache.get(key); ok {
-		s.seq++
-		job := &Job{
-			ID:     jobID(s.seq),
-			Key:    key,
-			Module: e.module,
-			State:  StateDone,
-			Cached: true,
-			Report: e.report,
-			Done:   closedChan(),
-			opts:   opts,
-		}
-		s.counters.CacheHits++
-		s.registerLocked(job)
-		s.counters.JobsDone++
-		// A hit is terminal at acceptance: its one record carries no source
-		// and names the job whose done record holds the report bytes.
-		s.journalAppendLocked(job.ID, "accepted", acceptedData{
-			Key: key, Module: e.module, Opts: opts, Cached: true, CacheFrom: e.origin,
-		})
-		return job, nil
+		return s.hitLocked(e, opts), nil
 	}
 	if primary, ok := s.inflight[key]; ok {
 		s.seq++
@@ -584,6 +582,62 @@ func (s *Server) answerLocked(key string, opts JobOptions, src Source) (*Job, er
 		return job, nil
 	}
 	return nil, nil
+}
+
+// answerBodyLocked completes a cache hit for a POST body without decoding
+// it, when a body with these exact bytes has decoded to the key of a cached
+// report. Equal bytes decode to the same request, so the hit is the one the
+// decode path would serve. It returns nil, leaving the body to the decode
+// path, for an unknown sum and while the server is closed or draining;
+// in-flight duplicates are never indexed, so they coalesce there too.
+// Caller holds mu.
+func (s *Server) answerBodyLocked(sum bodySum) *Job {
+	if s.closed || s.draining {
+		return nil
+	}
+	e, ok := s.cache.getBody(sum)
+	if !ok {
+		return nil
+	}
+	return s.hitLocked(e, e.opts)
+}
+
+// hitLocked completes a submission with normalized options opts from cache
+// entry e, for the decode path and the raw-body path alike. Caller holds mu.
+func (s *Server) hitLocked(e cacheEntry, opts JobOptions) *Job {
+	s.seq++
+	job := &Job{
+		ID:     jobID(s.seq),
+		Key:    e.key,
+		Module: e.module,
+		State:  StateDone,
+		Cached: true,
+		Report: e.report,
+		Done:   closedChan(),
+		opts:   opts,
+	}
+	s.counters.CacheHits++
+	s.registerLocked(job)
+	s.counters.JobsDone++
+	// A hit is terminal at acceptance: its one record carries no source
+	// and names the job whose done record holds the report bytes.
+	s.journalAppendLocked(job.ID, "accepted", acceptedData{
+		Key: e.key, Module: e.module, Opts: opts, Cached: true, CacheFrom: e.origin,
+	})
+	return job
+}
+
+// noteBodyLocked records that a POST body with sum decoded to job's request
+// and was admitted. A primary carries the sum to the cache entry its run
+// stores; if that run has already finished, or the job was a cache hit,
+// the entry takes the sum now. Coalesced duplicates record nothing. Caller
+// holds mu.
+func (s *Server) noteBodyLocked(job *Job, sum bodySum) {
+	if job.CoalescedWith != "" {
+		return
+	}
+	job.body = sum
+	s.cache.setBody(job.Key, sum, job.opts)
 }
 
 func jobID(seq int64) string { return fmt.Sprintf("job-%06d", seq) }
@@ -703,7 +757,10 @@ func (s *Server) runJob(job *Job) {
 	if err == nil && !interrupted {
 		// Interrupted (deadline-truncated) reports are wall-clock artifacts,
 		// not properties of the design; they are served but never cached.
-		s.cache.put(cacheEntry{key: job.Key, origin: job.ID, module: job.Module, report: report})
+		s.cache.put(cacheEntry{
+			key: job.Key, origin: job.ID, module: job.Module, report: report,
+			body: job.body, opts: job.opts,
+		})
 	}
 	// Journal the terminal transitions before finishLocked closes the Done
 	// channels: a client that has seen a result must find it after a crash.
