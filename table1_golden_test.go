@@ -34,14 +34,19 @@ type rowGolden struct {
 // analogGolden pins everything one Table-1 analog produces: both techniques'
 // rows, digests of the canonical report JSON (every word, runtime 0) and of
 // the decision trace, and the observer's nonzero work counters and gauges.
+// It also pins the digest of the functional matcher's report and the
+// nonzero counters of a run with VerifyReduction, which proves each winning
+// trial's rewritten cones.
 type analogGolden struct {
-	Name         string           `json:"name"`
-	Base         rowGolden        `json:"base"`
-	Ours         rowGolden        `json:"ours"`
-	ReportSHA256 string           `json:"report_sha256"`
-	TraceSHA256  string           `json:"trace_sha256"`
-	Counters     map[string]int64 `json:"counters"`
-	Gauges       map[string]int64 `json:"gauges"`
+	Name             string           `json:"name"`
+	Base             rowGolden        `json:"base"`
+	Ours             rowGolden        `json:"ours"`
+	ReportSHA256     string           `json:"report_sha256"`
+	TraceSHA256      string           `json:"trace_sha256"`
+	Counters         map[string]int64 `json:"counters"`
+	Gauges           map[string]int64 `json:"gauges"`
+	FunctionalSHA256 string           `json:"functional_sha256"`
+	VerifyCounters   map[string]int64 `json:"verify_counters"`
 }
 
 func rowOf(ev Evaluation) rowGolden {
@@ -63,13 +68,52 @@ func observeAnalog(t *testing.T, d *Design, base rowGolden, workers int) analogG
 		t.Fatal(err)
 	}
 	ev := Evaluate(d, rep)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, d, rep, &ev, true, 0); err != nil {
+	traceSum := sha256.Sum256([]byte(strings.Join(rep.Trace, "\n")))
+	counters, gauges := observed(t, o)
+	return analogGolden{
+		Name:         d.Name(),
+		Base:         base,
+		Ours:         rowOf(ev),
+		ReportSHA256: reportDigest(t, d, rep, &ev),
+		TraceSHA256:  hex.EncodeToString(traceSum[:]),
+		Counters:     counters,
+		Gauges:       gauges,
+	}
+}
+
+// observeCones collects the two golden fields that pin the fanin-cone
+// consumers off the default path: the functional matcher's report digest
+// and the counters of a sequential VerifyReduction run.
+func observeCones(t *testing.T, d *Design, g *analogGolden) {
+	t.Helper()
+	frep, err := IdentifyFunctional(d, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reportSum := sha256.Sum256(buf.Bytes())
-	traceSum := sha256.Sum256([]byte(strings.Join(rep.Trace, "\n")))
+	fev := Evaluate(d, frep)
+	g.FunctionalSHA256 = reportDigest(t, d, frep, &fev)
+	o := NewObserver()
+	if _, err := Identify(d, Options{VerifyReduction: true, Observer: o}); err != nil {
+		t.Fatal(err)
+	}
+	g.VerifyCounters, _ = observed(t, o)
+}
 
+// reportDigest returns the sha256 of rep's canonical JSON (every word,
+// runtime 0).
+func reportDigest(t *testing.T, d *Design, rep *Report, ev *Evaluation) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, d, rep, ev, true, 0); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// observed returns o's nonzero counters and gauge peaks by name.
+func observed(t *testing.T, o *Observer) (counters, gauges map[string]int64) {
+	t.Helper()
 	raw, err := o.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -87,33 +131,26 @@ func observeAnalog(t *testing.T, d *Design, base rowGolden, workers int) analogG
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	g := analogGolden{
-		Name:         d.Name(),
-		Base:         base,
-		Ours:         rowOf(ev),
-		ReportSHA256: hex.EncodeToString(reportSum[:]),
-		TraceSHA256:  hex.EncodeToString(traceSum[:]),
-		Counters:     map[string]int64{},
-		Gauges:       map[string]int64{},
-	}
+	counters, gauges = map[string]int64{}, map[string]int64{}
 	for _, c := range doc.Counters {
 		if c.Value != 0 {
-			g.Counters[c.Name] = c.Value
+			counters[c.Name] = c.Value
 		}
 	}
 	for _, gg := range doc.Gauges {
 		if gg.Peak != 0 {
-			g.Gauges[gg.Name] = gg.Peak
+			gauges[gg.Name] = gg.Peak
 		}
 	}
-	return g
+	return counters, gauges
 }
 
 // TestTable1Goldens is the behaviour lock for every Table-1 analog: the
 // Base and Ours rows, the report and trace digests, and the observer's
 // counters and gauges must match the committed goldens exactly, for a
-// sequential run and for an 8-worker run. b14a and the larger analogs are
-// skipped under -short.
+// sequential run and for an 8-worker run. The functional report digest and
+// the VerifyReduction counters are taken from one sequential run each.
+// b14a and the larger analogs are skipped under -short.
 func TestTable1Goldens(t *testing.T) {
 	var want []analogGolden
 	if !*updateGoldens {
@@ -146,6 +183,7 @@ func TestTable1Goldens(t *testing.T) {
 			}
 			base := rowOf(Evaluate(d, baseRep))
 			seq := observeAnalog(t, d, base, 0)
+			observeCones(t, d, &seq)
 			if *updateGoldens {
 				got = append(got, seq)
 				return
@@ -157,6 +195,7 @@ func TestTable1Goldens(t *testing.T) {
 				g := seq
 				if workers != 0 {
 					g = observeAnalog(t, d, base, workers)
+					g.FunctionalSHA256, g.VerifyCounters = seq.FunctionalSHA256, seq.VerifyCounters
 				}
 				compareGolden(t, workers, g, want[i])
 			}
@@ -192,5 +231,11 @@ func compareGolden(t *testing.T, workers int, got, want analogGolden) {
 	}
 	if !mapsEqual(got.Gauges, want.Gauges) {
 		t.Errorf("workers=%d: gauges %v, want %v", workers, got.Gauges, want.Gauges)
+	}
+	if got.FunctionalSHA256 != want.FunctionalSHA256 {
+		t.Errorf("functional report sha256 %s, want %s", got.FunctionalSHA256, want.FunctionalSHA256)
+	}
+	if !mapsEqual(got.VerifyCounters, want.VerifyCounters) {
+		t.Errorf("VerifyReduction counters %v, want %v", got.VerifyCounters, want.VerifyCounters)
 	}
 }
