@@ -218,25 +218,26 @@ func TestConeLowering(t *testing.T) {
 	cl := NewConeLowerer(New(), nl.NetName)
 	y, _ := nl.NetByName("y")
 	// Depth 1: only g2 expanded; x and b are cut variables.
-	internal := ConeInternal(nl, y, 1)
-	l1, err := cl.LowerCut(nl, y, internal)
+	var cut netlist.Cone
+	cut.Walk(nl, y, 1)
+	l1, err := cl.LowerCut(nl, y, &cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(internal) != 1 || !internal[y] {
-		t.Fatalf("depth-1 internal set = %v", internal)
+	if !cut.Expanded(y) || cut.Expanded(mustNet(t, nl, "x")) {
+		t.Fatal("depth 1 should expand y only")
 	}
 	want := cl.G.Xor(cl.VarFor(mustNet(t, nl, "x")), cl.VarFor(mustNet(t, nl, "b")))
 	if l1 != want {
 		t.Fatalf("depth-1 cone lit %v, want %v", l1, want)
 	}
 	// Depth 3: x expands to a&q; q is a DFF boundary, stays free.
-	internal3 := ConeInternal(nl, y, 3)
-	l3, err := cl.LowerCut(nl, y, internal3)
+	cut.Walk(nl, y, 3)
+	l3, err := cl.LowerCut(nl, y, &cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !internal3[mustNet(t, nl, "x")] {
+	if !cut.Expanded(mustNet(t, nl, "x")) {
 		t.Fatal("depth-3 should expand x")
 	}
 	wx := cl.G.And(cl.VarFor(mustNet(t, nl, "a")), cl.VarFor(mustNet(t, nl, "q")))

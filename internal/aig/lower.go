@@ -189,50 +189,6 @@ func AddFrame(g *AIG, nl *netlist.Netlist, pin map[string]logic.Value) (*Frame, 
 	return f, nil
 }
 
-// ConeInternal computes the internal-net set of the depth-limited fanin cone
-// of root under view: a net is internal when its minimum fanin distance from
-// root is below depth and it has a combinational driver and no constant
-// value under the view. Everything else the cone touches — the depth
-// frontier, primary inputs, flip-flop outputs — is a cut point, lowered as a
-// free variable.
-//
-// The min-distance (BFS) rule gives every net a single role, which is what
-// makes the cut semantically meaningful: the cone function is the
-// composition of the internal gates over the cut variables.
-func ConeInternal(view netlist.View, root netlist.NetID, depth int) map[netlist.NetID]bool {
-	internal := make(map[netlist.NetID]bool)
-	type item struct {
-		net  netlist.NetID
-		dist int
-	}
-	queue := []item{{root, 0}}
-	seen := map[netlist.NetID]bool{root: true}
-	var buf []netlist.NetID
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if it.dist >= depth {
-			continue
-		}
-		if _, isConst := view.NetConst(it.net); isConst {
-			continue
-		}
-		d := view.DriverOf(it.net)
-		if d == netlist.NoGate || !view.GateKind(d).IsCombinational() {
-			continue
-		}
-		internal[it.net] = true
-		buf = view.GateInputs(d, buf[:0])
-		for _, in := range buf {
-			if !seen[in] {
-				seen[in] = true
-				queue = append(queue, item{in, it.dist + 1})
-			}
-		}
-	}
-	return internal
-}
-
 // ConeLowerer lowers fanin cones from netlist.Views into one shared AIG,
 // keying the cut variables by net so that several lowerings — an original
 // cone and its rewritten overlay — share their input space and can be
@@ -263,15 +219,15 @@ func (cl *ConeLowerer) VarFor(n netlist.NetID) Lit {
 // (cyclic or adversarial) view rather than a real depth-limited cone.
 const maxLowerNets = 1 << 20
 
-// LowerCut lowers the cone of root under view, expanding exactly the nets in
-// internal (see ConeInternal) and cutting everything else to shared free
-// variables; nets the view knows constant fold to constant literals. Passing
-// one view's ConeInternal set to a second view's LowerCut compares the two
-// views over the same frontier, which is the soundness condition for cone
-// equivalence checking: a rewritten view's gates only ever reference nets of
-// the original cone, so the shared cut covers both.
-func (cl *ConeLowerer) LowerCut(view netlist.View, root netlist.NetID, internal map[netlist.NetID]bool) (Lit, error) {
-	memo := make(map[netlist.NetID]Lit, len(internal))
+// LowerCut lowers the cone of root under view, expanding exactly the nets
+// cut expanded (see netlist.Cone) and cutting everything else to shared free
+// variables; nets the view knows constant fold to constant literals. Walking
+// the cut on one view and lowering a second view through it compares the
+// two views over the same frontier, which is the soundness condition for
+// cone equivalence checking: a rewritten view's gates only ever reference
+// nets of the original cone, so the shared cut covers both.
+func (cl *ConeLowerer) LowerCut(view netlist.View, root netlist.NetID, cut *netlist.Cone) (Lit, error) {
+	memo := make(map[netlist.NetID]Lit)
 	var active map[netlist.NetID]bool // cycle guard for broken views
 	var buf []netlist.NetID
 	var lower func(n netlist.NetID) (Lit, error)
@@ -284,7 +240,7 @@ func (cl *ConeLowerer) LowerCut(view netlist.View, root netlist.NetID, internal 
 			memo[n] = l
 			return l, nil
 		}
-		if !internal[n] {
+		if !cut.Expanded(n) {
 			l := cl.VarFor(n)
 			memo[n] = l
 			return l, nil

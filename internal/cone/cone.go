@@ -254,50 +254,3 @@ func (b *Builder) subtreeKey(net netlist.NetID, depth, level int) KeyID {
 	b.trail = append(b.trail, memoKey{net: net, depth: int32(depth)})
 	return id
 }
-
-// SubtreeNets returns the set of nets contained in the subtree rooted at
-// net, expanded to depth more levels of logic: the root net, every internal
-// net, and boundary (leaf) nets. The result is deduplicated and unordered.
-func (b *Builder) SubtreeNets(net netlist.NetID, depth int) map[netlist.NetID]bool {
-	out := make(map[netlist.NetID]bool)
-	b.CollectSubtreeNets(net, depth, out)
-	return out
-}
-
-// CollectSubtreeNets adds the subtree's nets (as SubtreeNets defines them)
-// to out, letting callers accumulate the union over many roots — e.g. the
-// cone scope of a whole subgroup — without a map per call.
-//
-// The walk goes level by level from net, as aig.ConeInternal does, so each
-// net is expanded once, at its shortest distance from net: on reconvergent
-// logic a walk per path is exponential in depth. Any net a path reaches
-// within depth levels, a shortest path reaches too, so the set is the same.
-// seen is the walk's own: out may already hold nets of other roots, which
-// this root must still expand.
-func (b *Builder) CollectSubtreeNets(net netlist.NetID, depth int, out map[netlist.NetID]bool) {
-	out[net] = true
-	seen := map[netlist.NetID]bool{net: true}
-	frontier := []netlist.NetID{net}
-	var next []netlist.NetID
-	for d := 0; d < depth && len(frontier) > 0; d++ {
-		next = next[:0]
-		for _, n := range frontier {
-			if _, isConst := b.view.NetConst(n); isConst {
-				continue
-			}
-			g := b.view.DriverOf(n)
-			if g == netlist.NoGate || !b.view.GateKind(g).IsCombinational() {
-				continue
-			}
-			b.inbuf = b.view.GateInputs(g, b.inbuf[:0])
-			for _, in := range b.inbuf {
-				if !seen[in] {
-					seen[in] = true
-					out[in] = true
-					next = append(next, in)
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-}

@@ -246,22 +246,24 @@ func TestReconvergence(t *testing.T) {
 	}
 }
 
+// TestSubtreeNets walks a second-level subtree of a uniform two-level cone
+// with netlist.Cone: its root and two leaves.
 func TestSubtreeNets(t *testing.T) {
 	nl, bit := chainNet(t)
-	it := NewInterner()
-	b := NewBuilder(nl, it, 4)
-	bc := b.Bit(bit)
-	nets := b.SubtreeNets(bc.Subtrees[0].Root, 3)
+	bc := NewBuilder(nl, NewInterner(), 4).Bit(bit)
+	root := bc.Subtrees[0].Root
+	var c netlist.Cone
+	nets := c.Walk(nl, root, 3)
 	// Subtree x1 (or x2): root + two leaves.
 	if len(nets) != 3 {
 		t.Errorf("subtree nets = %d, want 3", len(nets))
 	}
-	if !nets[bc.Subtrees[0].Root] {
-		t.Error("root missing from subtree nets")
+	if nets[0] != (netlist.ConeNet{Net: root, Dist: 0, Expanded: true}) {
+		t.Errorf("first net %+v, want the expanded root", nets[0])
 	}
-	// Depth 0 keeps only the root.
-	if got := b.SubtreeNets(bc.Subtrees[0].Root, 0); len(got) != 1 {
-		t.Errorf("depth-0 nets = %d", len(got))
+	// Depth 0 keeps only the root, unexpanded.
+	if got := c.Walk(nl, root, 0); len(got) != 1 || got[0].Expanded {
+		t.Errorf("depth-0 nets = %+v", got)
 	}
 }
 
@@ -294,10 +296,11 @@ func diamondChain(nl *netlist.Netlist, levels int) netlist.NetID {
 	return prev
 }
 
-// TestSubtreeNetsReconvergent pins the level-order walk of SubtreeNets: on
+// TestSubtreeNetsReconvergent pins the level-order walk of netlist.Cone: on
 // a chain of 20 diamonds, whose end reaches the input along 2^20 paths, it
-// collects the whole cone with at most one GateInputs call per net. A walk
-// that recursed once per path made over a million.
+// collects the whole cone with at most one GateInputs call per net, and
+// gives the input its shortest distance, two levels per diamond. A walk
+// that recursed once per path made over a million calls.
 func TestSubtreeNetsReconvergent(t *testing.T) {
 	nl := netlist.New("diamonds")
 	end := diamondChain(nl, 20)
@@ -305,21 +308,30 @@ func TestSubtreeNetsReconvergent(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := &countingView{View: nl}
-	nets := NewBuilder(view, NewInterner(), 42).SubtreeNets(end, 42)
+	var c netlist.Cone
+	nets := c.Walk(view, end, 42)
 	if len(nets) != nl.NetCount() {
-		t.Errorf("SubtreeNets holds %d nets, want all %d", len(nets), nl.NetCount())
+		t.Errorf("cone holds %d nets, want all %d", len(nets), nl.NetCount())
 	}
 	if view.gateInputs > nl.NetCount() {
-		t.Errorf("SubtreeNets made %d GateInputs calls on %d nets", view.gateInputs, nl.NetCount())
+		t.Errorf("walk made %d GateInputs calls on %d nets", view.gateInputs, nl.NetCount())
+	}
+	if last := nets[len(nets)-1]; nl.NetName(last.Net) != "d0" || last.Dist != 40 || last.Expanded {
+		t.Errorf("last net %s at %d (expanded %v), want input d0 at 40, a leaf",
+			nl.NetName(last.Net), last.Dist, last.Expanded)
 	}
 }
 
-// pathNets is the definition SubtreeNets implements, walked once per path:
-// net, and for a net with a combinational driver under view, the nets of
-// each input's subtree one level shallower.
-func pathNets(view netlist.View, net netlist.NetID, depth int, out map[netlist.NetID]bool) {
-	out[net] = true
-	if depth <= 0 {
+// pathNets is the definition netlist.Cone implements, walked once per path:
+// net at distance dist, and for a net with a combinational driver under
+// view and depth left, the nets of each input's subtree one level deeper.
+// dists keeps each net's least distance over all paths; expanded marks the
+// nets some path went through.
+func pathNets(view netlist.View, net netlist.NetID, depth, dist int, dists map[netlist.NetID]int, expanded map[netlist.NetID]bool) {
+	if d, ok := dists[net]; !ok || dist < d {
+		dists[net] = dist
+	}
+	if dist >= depth {
 		return
 	}
 	if _, isConst := view.NetConst(net); isConst {
@@ -329,17 +341,20 @@ func pathNets(view netlist.View, net netlist.NetID, depth int, out map[netlist.N
 	if g == netlist.NoGate || !view.GateKind(g).IsCombinational() {
 		return
 	}
+	expanded[net] = true
 	for _, in := range view.GateInputs(g, nil) {
-		pathNets(view, in, depth-1, out)
+		pathNets(view, in, depth, dist+1, dists, expanded)
 	}
 }
 
-// TestSubtreeNetsMatchesPathWalk checks SubtreeNets and CollectSubtreeNets
-// against pathNets on random circuits, unreduced and under a constant, at
-// depths 0 to 5. CollectSubtreeNets gathers two roots into one set, so a
-// net the first root already reached must still be expanded for the second.
+// TestSubtreeNetsMatchesPathWalk checks netlist.Cone against pathNets on
+// random circuits, unreduced and under a constant, at depths 0 to 5: the
+// same nets, each once and at its least distance, root first and in level
+// order, and the same expanded set. One Cone walks every root, so a net
+// the previous root reached must still be reached and expanded afresh.
 func TestSubtreeNetsMatchesPathWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var c netlist.Cone
 	for trial := 0; trial < 40; trial++ {
 		nl, driven := randCircuit(rng, 5, 40)
 		if err := nl.Validate(); err != nil {
@@ -350,25 +365,30 @@ func TestSubtreeNetsMatchesPathWalk(t *testing.T) {
 			views = append(views, red)
 		}
 		for vi, view := range views {
-			b := NewBuilder(view, NewInterner(), DefaultDepth)
 			for depth := 0; depth <= 5; depth++ {
 				for _, n := range driven {
-					want := map[netlist.NetID]bool{}
-					pathNets(view, n, depth, want)
-					if got := b.SubtreeNets(n, depth); !maps.Equal(got, want) {
-						t.Fatalf("trial %d view %d depth %d net %s: SubtreeNets %v, want %v",
-							trial, vi, depth, nl.NetName(n), got, want)
+					wantDist, wantExp := map[netlist.NetID]int{}, map[netlist.NetID]bool{}
+					pathNets(view, n, depth, 0, wantDist, wantExp)
+					gotDist, gotExp := map[netlist.NetID]int{}, map[netlist.NetID]bool{}
+					nets := c.Walk(view, n, depth)
+					for i, cn := range nets {
+						if _, dup := gotDist[cn.Net]; dup || (i == 0) != (cn.Net == n) ||
+							(i > 0 && cn.Dist < nets[i-1].Dist) {
+							t.Fatalf("trial %d view %d depth %d net %s: walk order %+v",
+								trial, vi, depth, nl.NetName(n), nets)
+						}
+						gotDist[cn.Net] = int(cn.Dist)
+						if cn.Expanded {
+							gotExp[cn.Net] = true
+						}
+						if cn.Expanded != c.Expanded(cn.Net) {
+							t.Fatalf("net %s: Expanded %v disagrees with the walk", nl.NetName(cn.Net), c.Expanded(cn.Net))
+						}
 					}
-				}
-				r1, r2 := driven[rng.Intn(len(driven))], driven[rng.Intn(len(driven))]
-				got, want := map[netlist.NetID]bool{}, map[netlist.NetID]bool{}
-				b.CollectSubtreeNets(r1, depth, got)
-				b.CollectSubtreeNets(r2, depth, got)
-				pathNets(view, r1, depth, want)
-				pathNets(view, r2, depth, want)
-				if !maps.Equal(got, want) {
-					t.Fatalf("trial %d view %d depth %d roots %s, %s: CollectSubtreeNets %v, want %v",
-						trial, vi, depth, nl.NetName(r1), nl.NetName(r2), got, want)
+					if !maps.Equal(gotDist, wantDist) || !maps.Equal(gotExp, wantExp) {
+						t.Fatalf("trial %d view %d depth %d net %s: walk %v expanded %v, want %v expanded %v",
+							trial, vi, depth, nl.NetName(n), gotDist, gotExp, wantDist, wantExp)
+					}
 				}
 			}
 		}

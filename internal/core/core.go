@@ -626,7 +626,7 @@ func (p *pipeline) resolveSubgroup(bits []*cone.BitCone) {
 	var signals []ctrlsig.Signal
 	p.rec.Do(p.opt.Context, obs.StageCtrlSig, func() {
 		p.enterStage(obs.StageCtrlSig.String())
-		signals = ctrlsig.Find(p.nl, p.b, dissim, p.opt.Depth-1)
+		signals = ctrlsig.Find(p.nl, dissim, p.opt.Depth-1)
 	})
 	p.rec.Max(obs.GaugeControlSignals, int64(len(signals)))
 	if len(signals) > maxControlSignals {
@@ -881,8 +881,11 @@ func (p *pipeline) verifyTrial(bits []*cone.BitCone, tr *trialResult) {
 // and every net within cone depth below it.
 func (p *pipeline) coneScopeSize(bits []*cone.BitCone) int {
 	scope := make(map[netlist.NetID]bool)
+	var c netlist.Cone
 	for _, bc := range bits {
-		p.b.CollectSubtreeNets(bc.Net, p.opt.Depth, scope)
+		for _, cn := range c.Walk(p.nl, bc.Net, p.opt.Depth) {
+			scope[cn.Net] = true
+		}
 	}
 	return len(scope)
 }

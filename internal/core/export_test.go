@@ -30,7 +30,7 @@ func EachTrial(nl *netlist.Netlist, opt Options, fn func(bits []netlist.NetID, a
 			for i, bc := range bits {
 				dissim[i] = cone.Dissimilar(bc, common)
 			}
-			signals := ctrlsig.Find(nl, p.b, dissim, opt.Depth-1)
+			signals := ctrlsig.Find(nl, dissim, opt.Depth-1)
 			if len(signals) > maxControlSignals {
 				signals = signals[:maxControlSignals]
 			}

@@ -26,43 +26,39 @@ type Signal struct {
 // Find computes the relevant control signals for a subgroup. dissim holds,
 // per bit, the dissimilar subtrees recorded during partial matching;
 // subDepth is the subtree expansion depth (cone depth - 1). nl must be the
-// netlist the builder analyzes.
-func Find(nl *netlist.Netlist, b *cone.Builder, dissim [][]cone.Subtree, subDepth int) []Signal {
-	var sets []map[netlist.NetID]bool
-	union := make(map[netlist.NetID]bool)
-	for _, subtrees := range dissim {
-		for _, st := range subtrees {
-			nets := b.SubtreeNets(st.Root, subDepth)
-			sets = append(sets, nets)
-			for n := range nets {
-				union[n] = true
+// netlist the subtrees were matched on.
+func Find(nl *netlist.Netlist, dissim [][]cone.Subtree, subDepth int) []Signal {
+	// region counts, per net, the dissimilar subtrees whose nets hold it: its
+	// keys are their union, and the nets common to all of them are those
+	// every subtree counted.
+	region := make(map[netlist.NetID]int)
+	var c netlist.Cone
+	subtrees, first := 0, netlist.NoNet
+	for _, sts := range dissim {
+		for _, st := range sts {
+			if subtrees == 0 {
+				first = st.Root
+			}
+			subtrees++
+			for _, cn := range c.Walk(nl, st.Root, subDepth) {
+				region[cn.Net]++
 			}
 		}
 	}
-	if len(sets) < 2 {
+	if subtrees < 2 {
 		// With fewer than two dissimilar subtrees there is no "common among
 		// all" evidence; the only defensible candidate is the root of the
 		// single extra subtree, if any.
-		if len(sets) == 1 {
-			root := dissim0Root(dissim)
-			if root != netlist.NoNet {
-				return []Signal{makeSignal(nl, root, union)}
-			}
+		if subtrees == 1 {
+			return []Signal{makeSignal(nl, first, region)}
 		}
 		return nil
 	}
 
 	// Common nets across every dissimilar subtree.
 	var common []netlist.NetID
-	for n := range sets[0] {
-		inAll := true
-		for _, s := range sets[1:] {
-			if !s[n] {
-				inAll = false
-				break
-			}
-		}
-		if inAll {
+	for n, k := range region {
+		if k == subtrees {
 			common = append(common, n)
 		}
 	}
@@ -79,32 +75,23 @@ func Find(nl *netlist.Netlist, b *cone.Builder, dissim [][]cone.Subtree, subDept
 	// in the fanin cone of U201, so U223 goes).
 	dominated := make(map[netlist.NetID]bool)
 	for _, src := range common {
-		markFaninWithin(nl, src, union, dominated)
+		markFaninWithin(nl, src, region, dominated)
 	}
 	var out []Signal
 	for _, n := range common {
 		if dominated[n] {
 			continue
 		}
-		out = append(out, makeSignal(nl, n, union))
+		out = append(out, makeSignal(nl, n, region))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Net < out[j].Net })
 	return out
 }
 
-func dissim0Root(dissim [][]cone.Subtree) netlist.NetID {
-	for _, subtrees := range dissim {
-		for _, st := range subtrees {
-			return st.Root
-		}
-	}
-	return netlist.NoNet
-}
-
 // markFaninWithin marks every net strictly inside the fanin cone of src,
 // bounded to the region (the union of dissimilar-subtree nets), as
 // dominated by src.
-func markFaninWithin(nl *netlist.Netlist, src netlist.NetID, region, dominated map[netlist.NetID]bool) {
+func markFaninWithin(nl *netlist.Netlist, src netlist.NetID, region map[netlist.NetID]int, dominated map[netlist.NetID]bool) {
 	var walk func(n netlist.NetID)
 	seen := map[netlist.NetID]bool{src: true}
 	walk = func(n netlist.NetID) {
@@ -117,7 +104,7 @@ func markFaninWithin(nl *netlist.Netlist, src netlist.NetID, region, dominated m
 			return
 		}
 		for _, in := range g.Inputs {
-			if seen[in] || !region[in] {
+			if seen[in] || region[in] == 0 {
 				continue
 			}
 			seen[in] = true
@@ -133,13 +120,13 @@ func markFaninWithin(nl *netlist.Netlist, src netlist.NetID, region, dominated m
 // controlling values of the gates it feeds inside the dissimilar region.
 // When the net feeds only gates without a controlling value (parity gates,
 // muxes), both values are feasible.
-func makeSignal(nl *netlist.Netlist, n netlist.NetID, region map[netlist.NetID]bool) Signal {
+func makeSignal(nl *netlist.Netlist, n netlist.NetID, region map[netlist.NetID]int) Signal {
 	s := Signal{Net: n}
 	have := map[logic.Value]bool{}
 	addFrom := func(restrict bool) {
 		for _, g := range nl.Net(n).Fanout {
 			gate := nl.Gate(g)
-			if restrict && !region[gate.Output] {
+			if restrict && region[gate.Output] == 0 {
 				continue
 			}
 			if cv, ok := gate.Kind.ControllingValue(); ok {

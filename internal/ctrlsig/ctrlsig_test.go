@@ -67,7 +67,7 @@ func figure1ish(t *testing.T) (nl *netlist.Netlist, bits []netlist.NetID, names 
 	return nl, bits, names
 }
 
-func analyze(t *testing.T, nl *netlist.Netlist, bits []netlist.NetID) (*cone.Builder, [][]cone.Subtree) {
+func analyze(t *testing.T, nl *netlist.Netlist, bits []netlist.NetID) [][]cone.Subtree {
 	t.Helper()
 	it := cone.NewInterner()
 	b := cone.NewBuilder(nl, it, 4)
@@ -84,13 +84,13 @@ func analyze(t *testing.T, nl *netlist.Netlist, bits []netlist.NetID) (*cone.Bui
 	for i, bc := range cones {
 		dissim[i] = cone.Dissimilar(bc, common)
 	}
-	return b, dissim
+	return dissim
 }
 
 func TestFindRelevantSignals(t *testing.T) {
 	nl, bits, names := figure1ish(t)
-	b, dissim := analyze(t, nl, bits)
-	sigs := Find(nl, b, dissim, 3)
+	dissim := analyze(t, nl, bits)
+	sigs := Find(nl, dissim, 3)
 	got := map[netlist.NetID]Signal{}
 	for _, s := range sigs {
 		got[s.Net] = s
@@ -150,8 +150,8 @@ func TestFindNoCommonNets(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b, dissim := analyze(t, nl, bits)
-	if sigs := Find(nl, b, dissim, 3); len(sigs) != 0 {
+	dissim := analyze(t, nl, bits)
+	if sigs := Find(nl, dissim, 3); len(sigs) != 0 {
 		t.Errorf("expected no signals, got %v", sigNames(nl, sigs))
 	}
 }
@@ -186,8 +186,8 @@ func TestFindSingleDissimilarSubtree(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b, dissim := analyze(t, nl, []netlist.NetID{b0, b1})
-	sigs := Find(nl, b, dissim, 3)
+	dissim := analyze(t, nl, []netlist.NetID{b0, b1})
+	sigs := Find(nl, dissim, 3)
 	if len(sigs) != 1 {
 		t.Fatalf("sigs = %v", sigNames(nl, sigs))
 	}
@@ -227,7 +227,7 @@ func TestFindSingleSubtreeParityRoot(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b, dissim := analyze(t, nl, []netlist.NetID{b0, b1})
+	dissim := analyze(t, nl, []netlist.NetID{b0, b1})
 	total := 0
 	for _, d := range dissim {
 		total += len(d)
@@ -235,7 +235,7 @@ func TestFindSingleSubtreeParityRoot(t *testing.T) {
 	if total != 1 {
 		t.Fatalf("want exactly one dissimilar subtree, got %d", total)
 	}
-	sigs := Find(nl, b, dissim, 3)
+	sigs := Find(nl, dissim, 3)
 	if len(sigs) != 1 || nl.NetName(sigs[0].Net) != "e1" {
 		t.Fatalf("sigs = %v, want just e1", sigNames(nl, sigs))
 	}
@@ -262,7 +262,7 @@ func TestMakeSignalRegionFallback(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s := makeSignal(nl, c, map[netlist.NetID]bool{inRegion: true})
+	s := makeSignal(nl, c, map[netlist.NetID]int{inRegion: 1})
 	if len(s.Values) != 1 || s.Values[0] != logic.Zero {
 		t.Errorf("values = %v, want [0] via out-of-region NAND", s.Values)
 	}
@@ -278,7 +278,7 @@ func TestMakeSignalValueFallback(t *testing.T) {
 	nl.MarkPI(c)
 	y := nl.MustNet("y")
 	nl.MustGate("g", logic.Xor, y, a, c)
-	s := makeSignal(nl, c, map[netlist.NetID]bool{y: true})
+	s := makeSignal(nl, c, map[netlist.NetID]int{y: 1})
 	if len(s.Values) != 2 {
 		t.Errorf("values = %v, want both", s.Values)
 	}

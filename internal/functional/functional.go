@@ -16,10 +16,13 @@
 package functional
 
 import (
+	"slices"
 	"sort"
+	"strconv"
 
+	"gatewords/internal/aig"
+	"gatewords/internal/cone"
 	"gatewords/internal/group"
-	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
 )
 
@@ -88,143 +91,75 @@ func Identify(nl *netlist.Netlist, opt Options) *Result {
 }
 
 // CanonicalFunction computes the canonical truth-table key of a bit's cone,
-// or ok=false when the bit has no combinational cone or its support is too
-// large.
+// or ok=false when the bit has no combinational cone, its support is too
+// large, or the cone cannot be lowered (a cycle or a malformed gate).
+//
+// The cone is the bit's depth-limited fanin cone (netlist.Cone): its leaves,
+// in NetID order, are the support, leaf i being bit i of a minterm. A leaf
+// the view knows constant still counts toward the support, as a variable
+// the function does not read.
 func CanonicalFunction(v netlist.View, net netlist.NetID, depth, maxSupport int) (string, bool) {
-	cone, ok := extractCone(v, net, depth)
-	if !ok || len(cone.leaves) > maxSupport {
+	if _, _, ok := cone.RootGate(v, net); !ok {
 		return "", false
 	}
-	tt := simulateCone(v, cone)
-	tt = canonicalize(tt, len(cone.leaves))
-	return string(tt) + ":" + string(rune('0'+len(cone.leaves))), true
+	var c netlist.Cone
+	var leaves []netlist.NetID
+	for _, cn := range c.Walk(v, net, depth) {
+		if !cn.Expanded {
+			leaves = append(leaves, cn.Net)
+		}
+	}
+	if len(leaves) > maxSupport {
+		return "", false
+	}
+	slices.Sort(leaves)
+	g := aig.New()
+	cl := aig.NewConeLowerer(g, func(n netlist.NetID) string { return strconv.Itoa(int(n)) })
+	for _, leaf := range leaves {
+		cl.VarFor(leaf) // input i of g is leaf i
+	}
+	root, err := cl.LowerCut(v, net, &c)
+	if err != nil {
+		return "", false
+	}
+	tt := canonicalize(truthTable(g, root, len(leaves)), len(leaves))
+	return string(tt) + ":" + string(rune('0'+len(leaves))), true
 }
 
-// coneGraph is the deduplicated DAG of one bit's depth-limited cone.
-type coneGraph struct {
-	root    netlist.NetID
-	leaves  []netlist.NetID       // sorted support
-	order   []netlist.GateID      // gates in topological (eval) order
-	kinds   []logic.Kind          // effective kinds per gate
-	inputs  [][]netlist.NetID     // effective inputs per gate
-	outputs []netlist.NetID       // output net per gate
-	index   map[netlist.NetID]int // leaf position
+// laneBits[i] holds, in lane j, bit i of j: the first six inputs' values
+// across 64 consecutive minterms.
+var laneBits = [6]uint64{
+	0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000,
 }
 
-// extractCone walks the view from net down to depth levels, collecting the
-// gate DAG and the boundary leaves. Unlike the structural hash, the cone is
-// a DAG (shared nets evaluated once), which is exact for functions.
-func extractCone(v netlist.View, net netlist.NetID, depth int) (*coneGraph, bool) {
-	if _, isConst := v.NetConst(net); isConst {
-		return nil, false
-	}
-	root := v.DriverOf(net)
-	if root == netlist.NoGate || !v.GateKind(root).IsCombinational() {
-		return nil, false
-	}
-	cg := &coneGraph{root: net, index: map[netlist.NetID]int{}}
-	leafSet := map[netlist.NetID]bool{}
-	visited := map[netlist.NetID]int{} // net -> deepest remaining budget seen
-	// Per-recursion-level scratch for gate inputs: recursion is strictly
-	// depth-increasing, so a level's buffer is never live when it is reused
-	// by a sibling expansion at the same level.
-	frames := make([][]netlist.NetID, depth+1)
-	var walk func(n netlist.NetID, budget int)
-	walk = func(n netlist.NetID, budget int) {
-		if b, ok := visited[n]; ok && b >= budget {
-			return
-		}
-		visited[n] = budget
-		if budget <= 0 {
-			leafSet[n] = true
-			return
-		}
-		if _, isConst := v.NetConst(n); isConst {
-			leafSet[n] = true
-			return
-		}
-		d := v.DriverOf(n)
-		if d == netlist.NoGate || !v.GateKind(d).IsCombinational() {
-			leafSet[n] = true
-			return
-		}
-		lvl := depth - budget
-		frames[lvl] = v.GateInputs(d, frames[lvl][:0])
-		for i := 0; i < len(frames[lvl]); i++ {
-			walk(frames[lvl][i], budget-1)
-		}
-	}
-	walk(net, depth)
-	// A net may have been first cut as a leaf and later expanded with a
-	// larger budget; drop leaves that ended up expanded.
-	for n := range leafSet {
-		if visited[n] > 0 {
-			d := v.DriverOf(n)
-			if d != netlist.NoGate && v.GateKind(d).IsCombinational() {
-				if _, isConst := v.NetConst(n); !isConst {
-					delete(leafSet, n)
-				}
-			}
-		}
-	}
-	for n := range leafSet {
-		cg.leaves = append(cg.leaves, n)
-	}
-	sort.Slice(cg.leaves, func(i, j int) bool { return cg.leaves[i] < cg.leaves[j] })
-	for i, n := range cg.leaves {
-		cg.index[n] = i
-	}
-
-	// Topological order of the cone gates (DFS postorder from the root,
-	// stopping at leaves).
-	seen := map[netlist.NetID]bool{}
-	var build func(n netlist.NetID)
-	build = func(n netlist.NetID) {
-		if seen[n] || leafSet[n] {
-			return
-		}
-		seen[n] = true
-		d := v.DriverOf(n)
-		ins := v.GateInputs(d, nil)
-		for _, in := range ins {
-			build(in)
-		}
-		cg.order = append(cg.order, d)
-		cg.kinds = append(cg.kinds, v.GateKind(d))
-		cg.inputs = append(cg.inputs, ins)
-		cg.outputs = append(cg.outputs, n)
-	}
-	build(net)
-	return cg, true
-}
-
-// simulateCone evaluates the cone for every support assignment, returning a
-// packed truth table (bit m = output under minterm m; leaf i is bit i of m).
-func simulateCone(v netlist.View, cg *coneGraph) []byte {
-	k := len(cg.leaves)
+// truthTable evaluates root over g's k inputs, 64 minterms per simulation
+// pass, and returns the packed table: bit m is the output under minterm m,
+// in which input i takes bit i of m.
+func truthTable(g *aig.AIG, root aig.Lit, k int) []byte {
 	size := 1 << uint(k)
 	tt := make([]byte, (size+7)/8)
-	vals := map[netlist.NetID]logic.Value{}
-	var inbuf []logic.Value
-	for m := 0; m < size; m++ {
-		for i, leaf := range cg.leaves {
-			vals[leaf] = logic.FromBool(m>>uint(i)&1 == 1)
-		}
-		for gi, g := range cg.order {
-			inbuf = inbuf[:0]
-			for _, in := range cg.inputs[gi] {
-				if vv, isConst := v.NetConst(in); isConst {
-					inbuf = append(inbuf, vv)
-					continue
-				}
-				inbuf = append(inbuf, vals[in])
+	in := make([]uint64, k)
+	var vals []uint64
+	for base := 0; base < size; base += 64 {
+		for i := range in {
+			switch {
+			case i < len(laneBits):
+				in[i] = laneBits[i]
+			case base>>uint(i)&1 == 1:
+				in[i] = ^uint64(0)
+			default:
+				in[i] = 0
 			}
-			vals[cg.outputs[gi]] = logic.Eval(cg.kinds[gi], inbuf)
-			_ = g
 		}
-		if vals[cg.root] == logic.One {
-			tt[m/8] |= 1 << uint(m%8)
+		vals = g.Sim64(in, vals)
+		w := aig.Word(vals, root)
+		for b := base / 8; b < len(tt) && b < base/8+8; b++ {
+			tt[b] = byte(w >> uint(8*(b-base/8)))
 		}
+	}
+	if size < 8 {
+		tt[0] &= byte(1)<<uint(size) - 1
 	}
 	return tt
 }

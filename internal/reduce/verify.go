@@ -82,6 +82,7 @@ func (r *Reduction) VerifyCones(roots []netlist.NetID, depth int, opt eqcheck.Op
 	// that reaches the SAT stage runs on an emptied engine, so a root's check
 	// does not depend on the roots checked before it.
 	solver := eqcheck.NewSolver(g, opt)
+	var cut netlist.Cone
 	res := &VerifyResult{}
 	for _, root := range roots {
 		check := ConeCheck{Root: root, Name: r.nl.NetName(root)}
@@ -94,9 +95,9 @@ func (r *Reduction) VerifyCones(roots []netlist.NetID, depth int, opt eqcheck.Op
 			res.Checks = append(res.Checks, check)
 			continue
 		}
-		internal := aig.ConeInternal(orig, root, depth)
-		la, errA := cl.LowerCut(orig, root, internal)
-		lb, errB := cl.LowerCut(r, root, internal)
+		cut.Walk(orig, root, depth)
+		la, errA := cl.LowerCut(orig, root, &cut)
+		lb, errB := cl.LowerCut(r, root, &cut)
 		if errA != nil || errB != nil {
 			// Lowering failure (cycle, bad gate): report Unknown rather than
 			// abort the whole verification sweep.

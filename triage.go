@@ -167,37 +167,26 @@ func rankSuspects(d *Design, idRep *Report, sr *scoap.Result, opt TriageOptions)
 	nl := d.nl
 	rep := &TriageReport{Module: nl.Name, Gates: nl.GateCount()}
 
-	// Covered region: each word bit's driving gate plus its depth-limited
-	// fanin cone (the same window identification matched over).
+	// Covered region: the drivers of each word bit's depth-limited fanin
+	// cone short of its depth frontier (the same window identification
+	// matched over).
 	depth := opt.Identify.Depth
 	if depth < 1 {
 		depth = cone.DefaultDepth
 	}
 	covered := make([]bool, nl.GateCount())
-	seenAt := make([]int, nl.GateCount()) // deepest remaining-level budget seen
-	var markCone func(n netlist.NetID, levels int)
-	markCone = func(n netlist.NetID, levels int) {
-		g := nl.Net(n).Driver
-		if g == netlist.NoGate || levels == 0 {
-			return
-		}
-		covered[g] = true
-		if seenAt[g] >= levels { // already expanded at least this deep (and breaks cycles)
-			return
-		}
-		seenAt[g] = levels
-		if !nl.Gate(g).Kind.IsCombinational() {
-			return
-		}
-		for _, in := range nl.Gate(g).Inputs {
-			markCone(in, levels-1)
-		}
-	}
+	var fanin netlist.Cone
 	for _, w := range idRep.MultiBitWords() {
 		rep.Words++
 		for _, bit := range w.Bits {
-			if id, ok := nl.NetByName(bit); ok {
-				markCone(id, depth)
+			id, ok := nl.NetByName(bit)
+			if !ok {
+				continue
+			}
+			for _, cn := range fanin.Walk(nl, id, depth) {
+				if g := nl.Net(cn.Net).Driver; g != netlist.NoGate && int(cn.Dist) < depth {
+					covered[g] = true
+				}
 			}
 		}
 	}
