@@ -100,14 +100,17 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$
 
 # loc reports a change's size: lines added, removed and net since BASE
-# (default HEAD~1; the working tree's tracked files are compared, so
-# uncommitted edits count), from git diff --numstat, in three rows: non-test
-# Go, Go tests, and every other file. Binary files count as 0 lines.
+# (default HEAD~1), from git diff --numstat, in three rows: non-test Go, Go
+# tests, and every other file. The working tree is compared, so uncommitted
+# edits count, and so do untracked files that are not ignored, as added
+# (each diffed against /dev/null; the index is not touched). Binary files
+# count as 0 lines.
 # Usage: make loc BASE=<rev>
 BASE ?= HEAD~1
 loc:
 	@stat="$$(git diff --numstat $(BASE))" || exit 1; \
-	printf '%s\n' "$$stat" | awk -F '\t' ' \
+	new="$$(git ls-files -z --others --exclude-standard | xargs -0 -r -n1 git diff --no-index --numstat -- /dev/null)"; \
+	printf '%s\n%s\n' "$$stat" "$$new" | awk -F '\t' ' \
 		NF == 3 { k = "other"; if ($$3 ~ /_test\.go$$/) k = "tests"; else if ($$3 ~ /\.go$$/) k = "go"; \
 			if ($$1 != "-") { add[k] += $$1; del[k] += $$2 } } \
 		END { n = split("go tests other", ks, " "); split("non-test .go|_test.go|other", label, "|"); \

@@ -153,7 +153,7 @@ type ReferenceWord struct {
 // ReferenceWords extracts the golden reference words (registers of at least
 // two bits whose output nets carry a name and bit index).
 func (d *Design) ReferenceWords() []ReferenceWord {
-	refs := refwords.Extract(d.nl, refwords.Options{})
+	refs := refwords.Extract(d.nl)
 	out := make([]ReferenceWord, len(refs))
 	for i, r := range refs {
 		rw := ReferenceWord{Name: r.Name, Bits: make([]string, len(r.Bits))}
@@ -582,7 +582,7 @@ type Evaluation struct {
 
 // Evaluate scores rep against d's golden reference words.
 func Evaluate(d *Design, rep *Report) Evaluation {
-	refs := refwords.Extract(d.nl, refwords.Options{})
+	refs := refwords.Extract(d.nl)
 	gen := make([][]netlist.NetID, 0, len(rep.Words))
 	for _, w := range rep.Words {
 		ids := make([]netlist.NetID, 0, len(w.Bits))

@@ -69,9 +69,6 @@ func TestLoaderModulePath(t *testing.T) {
 	if l.ModulePath() != "gatewords" {
 		t.Errorf("module path = %q, want gatewords", l.ModulePath())
 	}
-	if l.ModuleRoot() == "" {
-		t.Error("empty module root")
-	}
 }
 
 // TestDiagnosticJSONMirror pins that the JSON mirror fields are populated by

@@ -89,9 +89,6 @@ func NewLoader(dir string) (*Loader, error) {
 // ModulePath returns the module's import path (the go.mod module line).
 func (l *Loader) ModulePath() string { return l.modulePath }
 
-// ModuleRoot returns the module's root directory.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
 // AddSourceRoot registers a GOPATH-style source root (a testdata/src
 // directory): import path "x" resolves to <root>/x. Later roots win over
 // earlier ones for the same path.

@@ -28,7 +28,7 @@ func TestFigure1Synthesizes(t *testing.T) {
 	if len(bits) != 3 {
 		t.Fatalf("want 3 word bits, got %d", len(bits))
 	}
-	refs := refwords.Extract(nl, refwords.Options{})
+	refs := refwords.Extract(nl)
 	if len(refs) != 2 {
 		t.Fatalf("want 2 reference words (out, w2), got %d: %+v", len(refs), refs)
 	}
@@ -43,7 +43,7 @@ func TestFigure1Base(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Figure1Circuit: %v", err)
 	}
-	refs := refwords.Extract(nl, refwords.Options{})
+	refs := refwords.Extract(nl)
 	res := shapehash.Identify(nl, 0)
 	rep := metrics.Evaluate(refs, res.Words)
 	var out metrics.WordResult
@@ -72,7 +72,7 @@ func TestFigure1Ours(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Figure1Circuit: %v", err)
 	}
-	refs := refwords.Extract(nl, refwords.Options{})
+	refs := refwords.Extract(nl)
 	res := core.Identify(nl, core.Options{CollectTrace: true})
 	rep := metrics.Evaluate(refs, res.GeneratedWords())
 

@@ -219,7 +219,7 @@ func (p Profile) Generate() (*Generated, error) {
 			}
 		}
 	}
-	refs := refwords.Extract(res.NL, refwords.Options{})
+	refs := refwords.Extract(res.NL)
 	return &Generated{Profile: p, NL: res.NL, Refs: refs, rtl: g.d}, nil
 }
 

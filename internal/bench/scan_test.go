@@ -35,7 +35,7 @@ func TestScanChainRobustness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs := refwords.Extract(res.NL, refwords.Options{})
+		refs := refwords.Extract(res.NL)
 		if len(refs) != 2 {
 			t.Fatalf("scan=%v: refs %d", insertScan, len(refs))
 		}
@@ -65,7 +65,7 @@ func TestScanStyleNand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := refwords.Extract(res.NL, refwords.Options{})
+	refs := refwords.Extract(res.NL)
 	ours := core.Identify(res.NL, core.Options{})
 	rep := metrics.Evaluate(refs, ours.GeneratedWords())
 	if rep.FullyFound != 1 {

@@ -141,7 +141,7 @@ func TestGeneratedVerilogRoundTrips(t *testing.T) {
 	// The round-tripped netlist must produce identical Table-1 metrics
 	// (reference words re-extracted from the parsed netlist's names).
 	row1 := Measure(gen, core.Options{})
-	g2 := &Generated{Profile: p, NL: back, Refs: refwords.Extract(back, refwords.Options{})}
+	g2 := &Generated{Profile: p, NL: back, Refs: refwords.Extract(back)}
 	row2 := Measure(g2, core.Options{})
 	if row1.Ours.FullyFound != row2.Ours.FullyFound || row1.Base.FullyFound != row2.Base.FullyFound {
 		t.Errorf("metrics differ after round trip: %+v vs %+v", row1.Ours, row2.Ours)

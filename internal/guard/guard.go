@@ -110,11 +110,6 @@ type Budgets struct {
 	MaxTrialsPerGroup int
 }
 
-// Unlimited reports whether every budget is unset.
-func (b Budgets) Unlimited() bool {
-	return b.MaxConeGates <= 0 && b.MaxSubgroupPairs <= 0 && b.MaxTrialsPerGroup <= 0
-}
-
 // Degradation reasons, one per Budgets field.
 const (
 	ReasonConeGates     = "max-cone-gates"

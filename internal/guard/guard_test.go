@@ -97,21 +97,6 @@ func TestNewGroupFailureCapturesPanicValue(t *testing.T) {
 	}
 }
 
-func TestBudgetsUnlimited(t *testing.T) {
-	if !(Budgets{}).Unlimited() {
-		t.Fatal("zero Budgets not Unlimited")
-	}
-	for _, b := range []Budgets{
-		{MaxConeGates: 1},
-		{MaxSubgroupPairs: 1},
-		{MaxTrialsPerGroup: 1},
-	} {
-		if b.Unlimited() {
-			t.Fatalf("Budgets %+v reported Unlimited", b)
-		}
-	}
-}
-
 func TestDegradationString(t *testing.T) {
 	d := Degradation{Group: 2, Subgroup: "acc0", Reason: ReasonConeGates, Detail: "cone scope 900 nets > budget 100"}
 	s := d.String()

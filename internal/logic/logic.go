@@ -108,17 +108,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// KindFromString parses a canonical cell name (case-sensitive, upper-case) as
-// produced by Kind.String. It returns Invalid for unknown names.
-func KindFromString(s string) Kind {
-	for k, name := range kindNames {
-		if name == s && Kind(k) != Invalid {
-			return Kind(k)
-		}
-	}
-	return Invalid
-}
-
 // Kinds returns all real cell kinds (everything except Invalid and Input),
 // in a stable order. Useful for table-driven tests and generators.
 func Kinds() []Kind {

@@ -32,20 +32,6 @@ func TestFromBool(t *testing.T) {
 	}
 }
 
-func TestKindStringRoundTrip(t *testing.T) {
-	for _, k := range Kinds() {
-		if got := KindFromString(k.String()); got != k {
-			t.Errorf("KindFromString(%q) = %s", k.String(), got)
-		}
-	}
-	if KindFromString("INVALID") != Invalid {
-		t.Error("KindFromString must not resolve INVALID")
-	}
-	if KindFromString("nand") != Invalid {
-		t.Error("KindFromString is case-sensitive")
-	}
-}
-
 func TestKindClassification(t *testing.T) {
 	if !DFF.IsSequential() || DFF.IsCombinational() {
 		t.Error("DFF classification wrong")

@@ -8,9 +8,6 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
-
 	"gatewords/internal/netlist"
 	"gatewords/internal/refwords"
 )
@@ -63,9 +60,6 @@ func (r Report) FullyFoundPct() float64 { return pct(r.FullyFound, r.RefWords) }
 
 // NotFoundPct returns 100 * NotFound / RefWords.
 func (r Report) NotFoundPct() float64 { return pct(r.NotFound, r.RefWords) }
-
-// PartiallyFoundPct returns 100 * PartiallyFound / RefWords.
-func (r Report) PartiallyFoundPct() float64 { return pct(r.PartiallyFound, r.RefWords) }
 
 func pct(n, d int) float64 {
 	if d == 0 {
@@ -173,18 +167,4 @@ func scoreWord(ref refwords.Word, wordOf map[netlist.NetID]int, nGenerated int) 
 		res.Fragmentation = float64(fragments) / float64(len(ref.Bits))
 	}
 	return res
-}
-
-// FormatRow renders the Table-1 metric triple for human-readable reports.
-func (r Report) FormatRow() string {
-	return fmt.Sprintf("full %.1f%%  frag %.2f  notfound %.1f%%",
-		r.FullyFoundPct(), r.FragmentationRate, r.NotFoundPct())
-}
-
-// SortedOutcomes returns the per-word results ordered by reference word
-// name; useful for stable, diff-friendly report output.
-func (r Report) SortedOutcomes() []WordResult {
-	out := append([]WordResult(nil), r.Words...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Ref.Name < out[j].Ref.Name })
-	return out
 }

@@ -199,15 +199,3 @@ func TestTwoBitWordEdge(t *testing.T) {
 		t.Error("apart")
 	}
 }
-
-func TestSortedOutcomesAndFormatRow(t *testing.T) {
-	refs := []refwords.Word{ref("b", 1, 2), ref("a", 3, 4)}
-	rep := Evaluate(refs, [][]netlist.NetID{{1, 2}, {3, 4}})
-	sorted := rep.SortedOutcomes()
-	if sorted[0].Ref.Name != "a" || sorted[1].Ref.Name != "b" {
-		t.Error("not sorted")
-	}
-	if rep.FormatRow() == "" {
-		t.Error("empty row")
-	}
-}

@@ -43,7 +43,7 @@ func TestEvaluateProperties(t *testing.T) {
 		if rep.FullyFound+rep.PartiallyFound+rep.NotFound != rep.RefWords {
 			t.Fatalf("trial %d: outcomes do not partition: %+v", trial, rep)
 		}
-		sum := rep.FullyFoundPct() + rep.PartiallyFoundPct() + rep.NotFoundPct()
+		sum := rep.FullyFoundPct() + pct(rep.PartiallyFound, rep.RefWords) + rep.NotFoundPct()
 		if sum < 99.999 || sum > 100.001 {
 			t.Fatalf("trial %d: percentages sum to %f", trial, sum)
 		}

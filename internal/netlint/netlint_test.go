@@ -2,6 +2,7 @@ package netlint
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -349,8 +350,8 @@ func TestAcceptance(t *testing.T) {
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
 		t.Error("JSON output differs across identical runs")
 	}
-	back, err := ReadJSON(&buf1)
-	if err != nil {
+	var back Result
+	if err := json.Unmarshal(buf1.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Errors != res.Errors || len(back.Diagnostics) != len(res.Diagnostics) {

@@ -56,13 +56,3 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
-
-// ReadJSON parses a result produced by WriteJSON (for tests and downstream
-// tools).
-func ReadJSON(rd io.Reader) (*Result, error) {
-	var res Result
-	if err := json.NewDecoder(rd).Decode(&res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}

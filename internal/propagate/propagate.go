@@ -64,22 +64,18 @@ type Word struct {
 type Options struct {
 	// MaxRounds caps fixpoint iterations (default 4).
 	MaxRounds int
-	// MinBits ignores seed and derived words narrower than this
-	// (default 2).
-	MinBits int
-	// MaxWords aborts runaway growth (default 4096).
-	MaxWords int
 }
+
+const (
+	// minBits ignores seed and derived words narrower than two bits.
+	minBits = 2
+	// maxWords aborts runaway growth.
+	maxWords = 4096
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 4
-	}
-	if o.MinBits < 2 {
-		o.MinBits = 2
-	}
-	if o.MaxWords <= 0 {
-		o.MaxWords = 4096
 	}
 	return o
 }
@@ -97,7 +93,7 @@ func Expand(nl *netlist.Netlist, seeds [][]netlist.NetID, opt Options) *Result {
 	res := &Result{}
 	seen := map[string]bool{}
 	for _, s := range seeds {
-		if len(s) < opt.MinBits {
+		if len(s) < minBits {
 			continue
 		}
 		key := wordKey(s)
@@ -117,12 +113,12 @@ func Expand(nl *netlist.Netlist, seeds [][]netlist.NetID, opt Options) *Result {
 		var next []int
 		for _, wi := range frontier {
 			for _, cand := range deriveForward(nl, res.Words[wi].Bits) {
-				next = addWord(res, seen, cand, Forward, wi, round, opt, next)
+				next = addWord(res, seen, cand, Forward, wi, round, next)
 			}
 			for _, cand := range deriveBackward(nl, res.Words[wi].Bits) {
-				next = addWord(res, seen, cand, Backward, wi, round, opt, next)
+				next = addWord(res, seen, cand, Backward, wi, round, next)
 			}
-			if len(res.Words) >= opt.MaxWords {
+			if len(res.Words) >= maxWords {
 				return res
 			}
 		}
@@ -131,8 +127,8 @@ func Expand(nl *netlist.Netlist, seeds [][]netlist.NetID, opt Options) *Result {
 	return res
 }
 
-func addWord(res *Result, seen map[string]bool, bits []netlist.NetID, dir Direction, from, round int, opt Options, next []int) []int {
-	if len(bits) < opt.MinBits {
+func addWord(res *Result, seen map[string]bool, bits []netlist.NetID, dir Direction, from, round int, next []int) []int {
+	if len(bits) < minBits {
 		return next
 	}
 	key := wordKey(bits)

@@ -1,6 +1,7 @@
 package propagate
 
 import (
+	"strconv"
 	"testing"
 
 	"gatewords/internal/logic"
@@ -198,11 +199,25 @@ func TestDedupAndRounds(t *testing.T) {
 	}
 }
 
+// TestMaxWordsGuard propagates a 2-bit seed down a buffer chain longer than
+// maxWords, one new word per round, and requires the guard, not the
+// chain's end, to stop it.
 func TestMaxWordsGuard(t *testing.T) {
-	nl, seed := datapath(t)
-	res := Expand(nl, [][]netlist.NetID{seed}, Options{MaxWords: 2})
-	if len(res.Words) > 3 { // may exceed by the last batch, but barely
-		t.Errorf("MaxWords ignored: %d words", len(res.Words))
+	nl := netlist.New("chain")
+	prev := []netlist.NetID{nl.MustNet("a0"), nl.MustNet("a1")}
+	seed := prev
+	for i := 1; i <= maxWords+8; i++ {
+		next := make([]netlist.NetID, len(prev))
+		for b, in := range prev {
+			sfx := strconv.Itoa(i) + "_" + strconv.Itoa(b)
+			next[b] = nl.MustNet("n" + sfx)
+			nl.MustGate("g"+sfx, logic.Buf, next[b], in)
+		}
+		prev = next
+	}
+	res := Expand(nl, [][]netlist.NetID{seed}, Options{MaxRounds: 2 * maxWords})
+	if len(res.Words) != maxWords {
+		t.Errorf("%d words after %d rounds, want the guard's %d", len(res.Words), res.Rounds, maxWords)
 	}
 }
 

@@ -26,21 +26,15 @@ type Word struct {
 // Size returns the word width in bits.
 func (w Word) Size() int { return len(w.Bits) }
 
-// Options configures reference extraction.
-type Options struct {
-	// MinBits is the minimum register width that counts as a word.
-	// Single-bit registers are flags, not words; the default is 2.
-	MinBits int
-}
+// minBits is the minimum register width that counts as a word: single-bit
+// registers are flags, not words.
+const minBits = 2
 
 // Extract scans the flip-flops of nl and groups them into reference words by
 // the register base name and bit index parsed from each FF's output net
 // name. Flip-flops whose names carry no bit index, and registers narrower
-// than MinBits, are excluded. Words are returned sorted by name.
-func Extract(nl *netlist.Netlist, opt Options) []Word {
-	if opt.MinBits < 1 {
-		opt.MinBits = 2
-	}
+// than minBits, are excluded. Words are returned sorted by name.
+func Extract(nl *netlist.Netlist) []Word {
 	type bit struct {
 		idx int
 		d   netlist.NetID
@@ -70,7 +64,7 @@ func Extract(nl *netlist.Netlist, opt Options) []Word {
 			w.Bits = append(w.Bits, b.d)
 			w.Indices = append(w.Indices, b.idx)
 		}
-		if w.Size() >= opt.MinBits {
+		if w.Size() >= minBits {
 			words = append(words, w)
 		}
 	}

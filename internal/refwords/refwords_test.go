@@ -58,7 +58,7 @@ func regNet(t *testing.T, names ...string) *netlist.Netlist {
 func TestExtractGroupsAndOrders(t *testing.T) {
 	// Deliberately out of order and mixed formats.
 	nl := regNet(t, "cnt_reg[2]", "cnt_reg[0]", "cnt_reg[1]", "st_reg_1_", "st_reg_0_", "flag")
-	words := Extract(nl, Options{})
+	words := Extract(nl)
 	if len(words) != 2 {
 		t.Fatalf("words = %d: %+v", len(words), words)
 	}
@@ -77,16 +77,12 @@ func TestExtractGroupsAndOrders(t *testing.T) {
 	}
 }
 
+// TestExtractMinBits checks that a single-bit register is a flag, not a
+// word, and that two bits make one.
 func TestExtractMinBits(t *testing.T) {
-	nl := regNet(t, "w_reg[0]", "w_reg[1]", "w_reg[2]", "lone_reg[0]")
-	if words := Extract(nl, Options{}); len(words) != 1 {
-		t.Errorf("default MinBits: %d words", len(words))
-	}
-	if words := Extract(nl, Options{MinBits: 1}); len(words) != 2 {
-		t.Errorf("MinBits 1: %d words", len(words))
-	}
-	if words := Extract(nl, Options{MinBits: 4}); len(words) != 0 {
-		t.Errorf("MinBits 4: %d words", len(words))
+	nl := regNet(t, "w_reg[0]", "w_reg[1]", "lone_reg[0]")
+	if words := Extract(nl); len(words) != 1 || words[0].Name != "w_reg" {
+		t.Errorf("words %+v, want w_reg alone", words)
 	}
 }
 
@@ -107,7 +103,7 @@ func TestExtractDuplicateIndex(t *testing.T) {
 	// A true duplicate requires a distinct net name mapping to the same
 	// base+index; use the underscore format.
 	mk(3, "w_reg_1_")
-	words := Extract(nl, Options{})
+	words := Extract(nl)
 	if len(words) != 1 || words[0].Size() != 2 {
 		t.Fatalf("words: %+v", words)
 	}
@@ -115,7 +111,7 @@ func TestExtractDuplicateIndex(t *testing.T) {
 
 func TestExtractUsesDInputs(t *testing.T) {
 	nl := regNet(t, "r_reg[0]", "r_reg[1]")
-	words := Extract(nl, Options{})
+	words := Extract(nl)
 	if len(words) != 1 {
 		t.Fatal("missing word")
 	}

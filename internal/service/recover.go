@@ -33,11 +33,6 @@ import (
 // jobs are either re-enqueued (Config.Resume, queued jobs with a journaled
 // source) or honestly marked failed as interrupted. Torn tails are
 // discarded and counted by journal.Open.
-//
-// Journals written before keys addressed the exact request still replay:
-// their cache hits carry a source and a done record of their own, and their
-// fingerprint-derived keys are recomputed from the journaled source
-// wherever a key reaches the cache or the in-flight table.
 
 type acceptedData struct {
 	Key         string     `json:"key"`
@@ -54,17 +49,6 @@ type acceptedData struct {
 
 func (a *acceptedData) source() Source {
 	return Source{Bench: a.Bench, Verilog: a.Verilog, Top: a.Top}
-}
-
-// requestKey is the job's result-cache key: the journaled key, or, for a
-// fingerprint-derived key from an older journal, the key of its journaled
-// request. A job journaled without a source keeps its key, and its cache
-// entry never hits.
-func (a *acceptedData) requestKey() string {
-	if len(a.Key) == requestKeyLen || a.source() == (Source{}) {
-		return a.Key
-	}
-	return requestKey(a.source(), a.Opts)
 }
 
 type doneData struct {
@@ -248,10 +232,8 @@ func (s *Server) replayJournal(records []replayRecord, torn int) {
 			s.counters.JobsDone++
 			// Re-seed the cache from primaries (inline bytes) so the
 			// restarted daemon answers repeats in O(1) again.
-			if len(j.done.Report) > 0 && !j.done.Interrupted {
-				if key := j.acc.requestKey(); key != "" {
-					s.cache.put(cacheEntry{key: key, origin: job.ID, module: job.Module, report: report})
-				}
+			if len(j.done.Report) > 0 && !j.done.Interrupted && j.acc.Key != "" {
+				s.cache.put(cacheEntry{key: j.acc.Key, origin: job.ID, module: job.Module, report: report})
 			}
 			rep.Restored++
 		case StateFailed:
@@ -323,7 +305,7 @@ func (s *Server) resumeLocked(j *replJob) bool {
 	}
 	job := &Job{
 		ID:          j.id,
-		Key:         j.acc.requestKey(),
+		Key:         j.acc.Key,
 		Fingerprint: j.acc.Fingerprint,
 		Module:      j.acc.Module,
 		State:       StateQueued,

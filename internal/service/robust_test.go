@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
@@ -598,100 +597,6 @@ func TestDecodeRecordMatchesTwoPassDecode(t *testing.T) {
 		}
 		if err == nil && !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\n decoded %+v\n want    %+v", payload, got, want)
-		}
-	}
-}
-
-// previousFormatKey is the cache key journals carried before keys addressed
-// the exact request: the design fingerprint, then an fnv-1a over the JSON
-// of the normalized options.
-func previousFormatKey(fp string, o JobOptions) string {
-	o.Workers = 0
-	enc, _ := json.Marshal(o) // struct of scalars; cannot fail
-	h := uint64(14695981039346656037)
-	for _, b := range enc {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return fmt.Sprintf("%s-%016x", fp, h)
-}
-
-// TestJournalReplayPreviousFormat replays a journal written before keys
-// addressed the exact request: fingerprint-derived keys, and a cache hit
-// that carries its source inline and has a done record of its own. Every
-// done job is restored byte-identically, the queued job resumes and
-// completes, and each completed primary's cache entry is re-keyed from its
-// journaled source, so an exact repeat hits again.
-func TestJournalReplayPreviousFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.wal")
-	fp := func(name string) string {
-		d, err := gatewords.GenerateBenchmark(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.Fingerprint()
-	}
-	src := benchVerilog(t, "b03a")
-	fakeReport := json.RawMessage(`{"module":"b03a","words":[]}`)
-	primary := acceptedData{
-		Key: previousFormatKey(fp("b03a"), JobOptions{}), Fingerprint: fp("b03a"), Module: "b03a", Verilog: src,
-	}
-	hit := primary
-	hit.Cached = true
-	queuedOpts := JobOptions{Workers: 2}
-
-	j := createJournal(t, path)
-	appendRecord(t, j, "job-000001", "accepted", primary)
-	appendRecord(t, j, "job-000001", "running", nil)
-	appendRecord(t, j, "job-000001", "done", doneData{Report: fakeReport})
-	appendRecord(t, j, "job-000002", "accepted", hit)
-	appendRecord(t, j, "job-000002", "done", doneData{Primary: "job-000001"})
-	appendRecord(t, j, "job-000003", "accepted", acceptedData{
-		Key: previousFormatKey(fp("b04a"), queuedOpts), Fingerprint: fp("b04a"), Module: "b04a",
-		Opts: queuedOpts, Bench: "b04a",
-	})
-	j.Close()
-
-	s, ts := newTestServer(t, Config{Workers: 1, JournalPath: path, Resume: true})
-	if rec := s.Recovery(); rec.Restored != 2 || rec.Resumed != 1 || rec.Interrupted != 0 || rec.TornRecords != 0 {
-		t.Fatalf("recovery report: %+v", rec)
-	}
-	report := func(id string) []byte {
-		t.Helper()
-		job, ok := s.Lookup(id)
-		if !ok {
-			t.Fatalf("%s missing after replay", id)
-		}
-		<-job.Done
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if job.State != StateDone {
-			t.Fatalf("%s ended %q: %s", id, job.State, job.Err)
-		}
-		return job.Report
-	}
-	for _, id := range []string{"job-000001", "job-000002"} {
-		if got := report(id); !bytes.Equal(got, fakeReport) {
-			t.Fatalf("%s not byte-identical after replay: %q", id, got)
-		}
-	}
-	resumed := report("job-000003")
-	if len(resumed) == 0 {
-		t.Fatal("resumed job has no report")
-	}
-
-	for _, tc := range []struct {
-		req  SubmitRequest
-		want []byte
-	}{
-		{SubmitRequest{Verilog: src}, fakeReport},
-		{SubmitRequest{Bench: "b04a"}, resumed},
-	} {
-		st, code := postJob(t, ts, tc.req)
-		if code != http.StatusOK || !st.Cached {
-			t.Fatalf("repeat of a journaled request missed the cache: status %d, %+v", code, st)
-		}
-		if got := report(st.ID); !bytes.Equal(got, tc.want) {
-			t.Fatalf("%s served %q, want the journaled primary's bytes", st.ID, got)
 		}
 	}
 }

@@ -212,10 +212,6 @@ func requestKey(src Source, o JobOptions) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// requestKeyLen is the length of every requestKey; replay tells the
-// fingerprint-derived keys of earlier journals by their other length.
-const requestKeyLen = 2 * sha256.Size
-
 // Job is one identification submission. All mutable fields are guarded by
 // the Server's mutex; Done is closed exactly once when the job reaches a
 // terminal state.

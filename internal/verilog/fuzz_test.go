@@ -130,9 +130,3 @@ func TestParseReaderAndFile(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
-
-func TestCellArity(t *testing.T) {
-	if CellArity(0, 3) != 4 {
-		t.Error("CellArity")
-	}
-}

@@ -18,7 +18,6 @@ type Library struct {
 	ports map[string][]string // module name -> header port order
 	sizes map[string]int      // module name -> flatSize bound
 	flat  map[string]*netlist.Netlist
-	order []string // definition order, for Modules()
 	file  string
 }
 
@@ -98,7 +97,6 @@ func ParseHierarchy(lib *Library, file, src string) (*Library, error) {
 			cur.end = lx.pos
 			lib.srcs[cur.name] = src[cur.start:cur.end]
 			lib.ports[cur.name] = cur.ports
-			lib.order = append(lib.order, cur.name)
 			prevEnd = lx.pos
 			cur = nil
 		}
@@ -110,11 +108,6 @@ func ParseHierarchy(lib *Library, file, src string) (*Library, error) {
 		return nil, fmt.Errorf("%s: no modules found", file)
 	}
 	return lib, nil
-}
-
-// Modules lists the module names in definition order.
-func (lib *Library) Modules() []string {
-	return append([]string(nil), lib.order...)
 }
 
 // Top guesses the top module: the one never instantiated by another. If

@@ -43,9 +43,8 @@ func TestParseHierarchyAndElaborate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mods := lib.Modules()
-	if len(mods) != 3 || mods[0] != "ha" || mods[2] != "top" {
-		t.Fatalf("modules: %v", mods)
+	if len(lib.srcs) != 3 {
+		t.Fatalf("parsed %d modules, want 3", len(lib.srcs))
 	}
 	top, err := lib.Top()
 	if err != nil || top != "top" {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 
-	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
 )
 
@@ -105,7 +104,3 @@ func isSimpleIdent(name string) bool {
 	}
 	return true
 }
-
-// CellArity returns the pin count (including output) that the writer emits
-// for a gate, exposed for tooling that formats reports about cells.
-func CellArity(k logic.Kind, inputs int) int { return inputs + 1 }
