@@ -12,11 +12,11 @@ import (
 	"gatewords/internal/reduce"
 )
 
-// referenceFunction is CanonicalFunction computed the way the matcher
-// computed it before it lowered cones to an AIG: a recursive walk that
-// re-expands a net reached again with more depth left, then one logic.Eval
-// per gate per minterm through maps. It shares only canonicalize with the
-// code under test.
+// referenceFunction computes CanonicalFunction's key by other means: a
+// recursive walk that re-expands a net reached again with more depth left
+// finds the cone, and one logic.Eval per gate per minterm, through maps,
+// fills the truth table. It shares only canonicalize with the code under
+// test.
 func referenceFunction(v netlist.View, net netlist.NetID, depth, maxSupport int) (string, bool) {
 	if _, isConst := v.NetConst(net); isConst {
 		return "", false
