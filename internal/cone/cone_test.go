@@ -347,11 +347,26 @@ func pathNets(view netlist.View, net netlist.NetID, depth, dist int, dists map[n
 	}
 }
 
+// constDriverView reports one net constant but keeps its driver, as no
+// reduction does: a walk must still stop at the constant.
+type constDriverView struct {
+	netlist.View
+	net netlist.NetID
+}
+
+func (v constDriverView) NetConst(n netlist.NetID) (logic.Value, bool) {
+	if n == v.net {
+		return logic.One, true
+	}
+	return v.View.NetConst(n)
+}
+
 // TestSubtreeNetsMatchesPathWalk checks netlist.Cone against pathNets on
-// random circuits, unreduced and under a constant, at depths 0 to 5: the
-// same nets, each once and at its least distance, root first and in level
-// order, and the same expanded set. One Cone walks every root, so a net
-// the previous root reached must still be reached and expanded afresh.
+// random circuits, unreduced, under a constant, and with a constant net
+// that keeps its driver, at depths 0 to 5: the same nets, each once and at
+// its least distance, root first and in level order, and the same expanded
+// set. One Cone walks every root, so a net the previous root reached must
+// still be reached and expanded afresh.
 func TestSubtreeNetsMatchesPathWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var c netlist.Cone
@@ -360,7 +375,7 @@ func TestSubtreeNetsMatchesPathWalk(t *testing.T) {
 		if err := nl.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		views := []netlist.View{nl}
+		views := []netlist.View{nl, constDriverView{View: nl, net: driven[rng.Intn(len(driven))]}}
 		if red, err := reduce.Apply(nl, map[netlist.NetID]logic.Value{netlist.NetID(rng.Intn(5)): logic.Zero}); err == nil {
 			views = append(views, red)
 		}

@@ -135,7 +135,8 @@ var laneBits = [6]uint64{
 
 // truthTable evaluates root over g's k inputs, 64 minterms per simulation
 // pass, and returns the packed table: bit m is the output under minterm m,
-// in which input i takes bit i of m.
+// in which input i takes bit i of m. For k < 3 the byte's bits past 2^k
+// hold further simulation lanes; canonicalize reads only the first 2^k.
 func truthTable(g *aig.AIG, root aig.Lit, k int) []byte {
 	size := 1 << uint(k)
 	tt := make([]byte, (size+7)/8)
@@ -157,9 +158,6 @@ func truthTable(g *aig.AIG, root aig.Lit, k int) []byte {
 		for b := base / 8; b < len(tt) && b < base/8+8; b++ {
 			tt[b] = byte(w >> uint(8*(b-base/8)))
 		}
-	}
-	if size < 8 {
-		tt[0] &= byte(1)<<uint(size) - 1
 	}
 	return tt
 }

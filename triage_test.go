@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gatewords/internal/netlist"
 )
 
 // triageTrojan is the textual implant for the seeded-trigger test: a 3-gate
@@ -107,6 +109,55 @@ func TestGoldenB14Triage(t *testing.T) {
 	if !bytes.Equal(seq, want) {
 		t.Errorf("b14a triage ranking drifted from golden (%d vs %d bytes); regenerate with TRIAGE_GOLDEN_UPDATE=1 and review the diff",
 			len(seq), len(want))
+	}
+}
+
+// TestTriageCoveredMatchesPathWalk checks the covered region against a walk
+// once per path: the driver of every net that a path of fewer than depth
+// levels reaches from a bit of an identified word. At depth 2 the nets
+// exactly depth levels down have drivers that no shorter path covers.
+func TestTriageCoveredMatchesPathWalk(t *testing.T) {
+	for _, name := range []string{"b05a", "b08a"} {
+		d, err := GenerateBenchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := d.nl
+		for _, depth := range []int{2, 4} {
+			opt := Options{Depth: depth}
+			idRep, err := Identify(d, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			covered := map[netlist.GateID]bool{}
+			var mark func(n netlist.NetID, levels int)
+			mark = func(n netlist.NetID, levels int) {
+				g := nl.Net(n).Driver
+				if g == netlist.NoGate || levels == 0 {
+					return
+				}
+				covered[g] = true
+				if nl.Gate(g).Kind.IsCombinational() {
+					for _, in := range nl.Gate(g).Inputs {
+						mark(in, levels-1)
+					}
+				}
+			}
+			for _, w := range idRep.MultiBitWords() {
+				for _, bit := range w.Bits {
+					if id, ok := nl.NetByName(bit); ok {
+						mark(id, depth)
+					}
+				}
+			}
+			rep, err := Triage(d, TriageOptions{Identify: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Covered != len(covered) {
+				t.Errorf("%s depth %d: %d gates covered, the path walk covers %d", name, depth, rep.Covered, len(covered))
+			}
+		}
 	}
 }
 
