@@ -34,9 +34,11 @@ type rowGolden struct {
 // analogGolden pins everything one Table-1 analog produces: both techniques'
 // rows, digests of the canonical report JSON (every word, runtime 0) and of
 // the decision trace, and the observer's nonzero work counters and gauges.
-// It also pins the digest of the functional matcher's report and the
-// nonzero counters of a run with VerifyReduction, which proves each winning
-// trial's rewritten cones.
+// It also pins the digest of the functional matcher's report, the nonzero
+// counters of a run with VerifyReduction, which proves each winning trial's
+// rewritten cones, and that run's proved, refuted and undecided cone counts.
+// The Base row alone leaves Base's words free to move as long as its counts
+// hold, so the digest of the baseline's report pins them.
 type analogGolden struct {
 	Name             string           `json:"name"`
 	Base             rowGolden        `json:"base"`
@@ -47,6 +49,10 @@ type analogGolden struct {
 	Gauges           map[string]int64 `json:"gauges"`
 	FunctionalSHA256 string           `json:"functional_sha256"`
 	VerifyCounters   map[string]int64 `json:"verify_counters"`
+	BaseSHA256       string           `json:"base_report_sha256"`
+	ConesProved      int              `json:"cones_proved"`
+	ConesRefuted     int              `json:"cones_refuted"`
+	ConesUnknown     int              `json:"cones_unknown"`
 }
 
 func rowOf(ev Evaluation) rowGolden {
@@ -81,9 +87,9 @@ func observeAnalog(t *testing.T, d *Design, base rowGolden, workers int) analogG
 	}
 }
 
-// observeCones collects the two golden fields that pin the fanin-cone
-// consumers off the default path: the functional matcher's report digest
-// and the counters of a sequential VerifyReduction run.
+// observeCones collects the golden fields that pin the fanin-cone consumers
+// off the default path: the functional matcher's report digest and the
+// counters and cone counts of a sequential VerifyReduction run.
 func observeCones(t *testing.T, d *Design, g *analogGolden) {
 	t.Helper()
 	frep, err := IdentifyFunctional(d, 0, 0)
@@ -93,10 +99,13 @@ func observeCones(t *testing.T, d *Design, g *analogGolden) {
 	fev := Evaluate(d, frep)
 	g.FunctionalSHA256 = reportDigest(t, d, frep, &fev)
 	o := NewObserver()
-	if _, err := Identify(d, Options{VerifyReduction: true, Observer: o}); err != nil {
+	rep, err := Identify(d, Options{VerifyReduction: true, Observer: o})
+	if err != nil {
 		t.Fatal(err)
 	}
 	g.VerifyCounters, _ = observed(t, o)
+	rv := rep.ReductionVerification
+	g.ConesProved, g.ConesRefuted, g.ConesUnknown = rv.ConesProved, rv.ConesRefuted, rv.ConesUnknown
 }
 
 // reportDigest returns the sha256 of rep's canonical JSON (every word,
@@ -148,8 +157,9 @@ func observed(t *testing.T, o *Observer) (counters, gauges map[string]int64) {
 // TestTable1Goldens is the behaviour lock for every Table-1 analog: the
 // Base and Ours rows, the report and trace digests, and the observer's
 // counters and gauges must match the committed goldens exactly, for a
-// sequential run and for an 8-worker run. The functional report digest and
-// the VerifyReduction counters are taken from one sequential run each.
+// sequential run and for an 8-worker run. The baseline and functional report
+// digests and the VerifyReduction counters and cone counts are taken from
+// one sequential run each.
 // b14a and the larger analogs are skipped under -short.
 func TestTable1Goldens(t *testing.T) {
 	var want []analogGolden
@@ -181,8 +191,9 @@ func TestTable1Goldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := rowOf(Evaluate(d, baseRep))
-			seq := observeAnalog(t, d, base, 0)
+			baseEv := Evaluate(d, baseRep)
+			seq := observeAnalog(t, d, rowOf(baseEv), 0)
+			seq.BaseSHA256 = reportDigest(t, d, baseRep, &baseEv)
 			observeCones(t, d, &seq)
 			if *updateGoldens {
 				got = append(got, seq)
@@ -194,8 +205,10 @@ func TestTable1Goldens(t *testing.T) {
 			for _, workers := range []int{0, 8} {
 				g := seq
 				if workers != 0 {
-					g = observeAnalog(t, d, base, workers)
+					g = observeAnalog(t, d, seq.Base, workers)
 					g.FunctionalSHA256, g.VerifyCounters = seq.FunctionalSHA256, seq.VerifyCounters
+					g.BaseSHA256 = seq.BaseSHA256
+					g.ConesProved, g.ConesRefuted, g.ConesUnknown = seq.ConesProved, seq.ConesRefuted, seq.ConesUnknown
 				}
 				compareGolden(t, workers, g, want[i])
 			}
@@ -237,5 +250,12 @@ func compareGolden(t *testing.T, workers int, got, want analogGolden) {
 	}
 	if !mapsEqual(got.VerifyCounters, want.VerifyCounters) {
 		t.Errorf("VerifyReduction counters %v, want %v", got.VerifyCounters, want.VerifyCounters)
+	}
+	if got.BaseSHA256 != want.BaseSHA256 {
+		t.Errorf("Base report sha256 %s, want %s", got.BaseSHA256, want.BaseSHA256)
+	}
+	if got.ConesProved != want.ConesProved || got.ConesRefuted != want.ConesRefuted || got.ConesUnknown != want.ConesUnknown {
+		t.Errorf("VerifyReduction cones proved/refuted/unknown %d/%d/%d, want %d/%d/%d",
+			got.ConesProved, got.ConesRefuted, got.ConesUnknown, want.ConesProved, want.ConesRefuted, want.ConesUnknown)
 	}
 }
