@@ -479,8 +479,17 @@ func Identify(d *Design, opt Options) (*Report, error) {
 	res := core.Identify(d.nl, copt)
 	opt.Observer.absorb(runRec)
 	rep := &Report{Technique: "control-signals", Trace: res.Trace, Interrupted: res.Stats.Interrupted}
-	for _, w := range res.Words {
-		rep.Words = append(rep.Words, d.coreWord(w))
+	if len(res.Words) > 0 {
+		// Every word's Bits and ControlSignals are cut from one name slab.
+		n := 0
+		for _, w := range res.Words {
+			n += len(w.Bits) + len(w.Controls)
+		}
+		names := make([]string, 0, n)
+		rep.Words = make([]Word, len(res.Words))
+		for i, w := range res.Words {
+			rep.Words[i] = d.coreWord(w, &names)
+		}
 	}
 	rep.ControlSignalsUsed = d.netNames(res.UsedControlSignals)
 	rep.ControlSignalsFound = d.netNames(res.FoundControlSignals)
@@ -520,8 +529,16 @@ func Identify(d *Design, opt Options) (*Report, error) {
 func IdentifyBaseline(d *Design, depth int) (*Report, error) {
 	res := shapehash.Identify(d.nl, depth)
 	rep := &Report{Technique: "shape-hashing"}
-	for _, bits := range res.Words {
-		rep.Words = append(rep.Words, Word{Bits: d.netNames(bits), Verified: true})
+	if len(res.Words) > 0 {
+		n := 0
+		for _, bits := range res.Words {
+			n += len(bits)
+		}
+		names := make([]string, 0, n)
+		rep.Words = make([]Word, len(res.Words))
+		for i, bits := range res.Words {
+			rep.Words[i] = Word{Bits: d.appendNames(&names, bits), Verified: true}
+		}
 	}
 	return rep, nil
 }
@@ -542,11 +559,13 @@ func IdentifyFunctional(d *Design, depth, maxSupport int) (*Report, error) {
 	return rep, nil
 }
 
-func (d *Design) coreWord(w core.Word) Word {
+// coreWord converts one core word, cutting its Bits and ControlSignals from
+// the name slab *names (see appendNames).
+func (d *Design) coreWord(w core.Word, names *[]string) Word {
 	out := Word{
-		Bits:           d.netNames(w.Bits),
+		Bits:           d.appendNames(names, w.Bits),
 		Verified:       w.Verified,
-		ControlSignals: d.netNames(w.Controls),
+		ControlSignals: d.appendNames(names, w.Controls),
 	}
 	if len(w.Assignment) > 0 {
 		out.Assignment = make(map[string]bool, len(w.Assignment))
@@ -563,6 +582,17 @@ func (d *Design) netNames(ids []netlist.NetID) []string {
 		out[i] = d.nl.NetName(id)
 	}
 	return out
+}
+
+// appendNames appends the names of ids to the slab *names and returns them
+// as a capacity-limited slice of it. The slab must have room for them, so
+// that the slices cut before stay in the same array.
+func (d *Design) appendNames(names *[]string, ids []netlist.NetID) []string {
+	lo := len(*names)
+	for _, id := range ids {
+		*names = append(*names, d.nl.NetName(id))
+	}
+	return (*names)[lo:len(*names):len(*names)]
 }
 
 // Evaluation scores a report against the design's reference words using the
@@ -583,15 +613,21 @@ type Evaluation struct {
 // Evaluate scores rep against d's golden reference words.
 func Evaluate(d *Design, rep *Report) Evaluation {
 	refs := refwords.Extract(d.nl)
-	gen := make([][]netlist.NetID, 0, len(rep.Words))
+	// Every word's ID list is cut from one slab.
+	n := 0
 	for _, w := range rep.Words {
-		ids := make([]netlist.NetID, 0, len(w.Bits))
+		n += len(w.Bits)
+	}
+	slab := make([]netlist.NetID, 0, n)
+	gen := make([][]netlist.NetID, len(rep.Words))
+	for i, w := range rep.Words {
+		lo := len(slab)
 		for _, name := range w.Bits {
 			if id, ok := d.nl.NetByName(name); ok {
-				ids = append(ids, id)
+				slab = append(slab, id)
 			}
 		}
-		gen = append(gen, ids)
+		gen[i] = slab[lo:len(slab):len(slab)]
 	}
 	m := metrics.Evaluate(refs, gen)
 	ev := Evaluation{

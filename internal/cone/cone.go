@@ -80,18 +80,66 @@ type BitCone struct {
 //
 // The memo is dense: memo[d-1][net] holds the key of subtree (net, d) plus
 // one, 0 meaning not yet computed. A row exists only for depths a walk has
-// reached and grows to the highest NetID keyed at that depth. trail lists
-// the entries set since the last Reset, which clears exactly those.
+// reached and grows to the highest NetID keyed at that depth. Once the
+// builder has been reset, trail lists the entries set since the last Reset,
+// which clears exactly those; the first Reset clears the rows whole, so a
+// builder that is never reset records no trail.
+//
+// Bit hands out BitCones and their Subtrees from builder-owned chunks, which
+// Reset recycles: a builder keying group after group allocates no cone
+// storage once its chunks cover the largest group.
 type Builder struct {
-	view   netlist.View
-	intern *Interner
-	depth  int
-	memo   [][]KeyID
-	trail  []memoKey
-	rowLen int // a new row's length: the view's net count, when it has one
-	inbuf  []netlist.NetID
-	idbuf  []KeyID
-	frames []keyFrame
+	view    netlist.View
+	intern  *Interner
+	depth   int
+	memo    [][]KeyID
+	trail   []memoKey
+	tracked bool // Reset has run: subtreeKey records the trail
+	rowLen  int  // a new row's length: the view's net count, when it has one
+	inbuf   []netlist.NetID
+	idbuf   []KeyID
+	frames  []keyFrame
+	cones   chunks[BitCone]
+	subs    chunks[Subtree]
+}
+
+// Chunk sizes of a builder's cone storage: BitCones, and Subtrees (a
+// chunk holds one cone's subtrees whole, so a wider root gets a chunk of
+// its own size).
+const (
+	coneChunk    = 256
+	subtreeChunk = 1024
+)
+
+// chunks is append-only storage handed out in place: a slice taken from it
+// stays valid, and is never written again, until rewind. Full chunks are
+// kept, so a rewound store refills them before it allocates.
+type chunks[T any] struct {
+	all  [][]T
+	cur  int // index in all of the chunk being filled
+	size int // length of a new chunk
+}
+
+// take returns n elements for the caller to fill, cut with their capacity
+// limited to n so that an append to them never reaches a neighbour.
+func (c *chunks[T]) take(n int) []T {
+	for c.cur < len(c.all) && cap(c.all[c.cur])-len(c.all[c.cur]) < n {
+		c.cur++
+	}
+	if c.cur == len(c.all) {
+		c.all = append(c.all, make([]T, 0, max(n, c.size)))
+	}
+	lo := len(c.all[c.cur])
+	c.all[c.cur] = c.all[c.cur][:lo+n]
+	return c.all[c.cur][lo : lo+n : lo+n]
+}
+
+// rewind makes every chunk free again.
+func (c *chunks[T]) rewind() {
+	for i := range c.all {
+		c.all[i] = c.all[i][:0]
+	}
+	c.cur = 0
 }
 
 // memoKey identifies one (net, remaining depth) subtree. Depth is stored
@@ -131,7 +179,8 @@ func NewBuilder(view netlist.View, intern *Interner, depth int) *Builder {
 	if depth > MaxDepth {
 		depth = MaxDepth
 	}
-	b := &Builder{view: view, intern: intern, depth: depth}
+	b := &Builder{view: view, intern: intern, depth: depth,
+		cones: chunks[BitCone]{size: coneChunk}, subs: chunks[Subtree]{size: subtreeChunk}}
 	if nc, ok := view.(interface{ NetCount() int }); ok {
 		b.rowLen = nc.NetCount()
 	}
@@ -141,16 +190,26 @@ func NewBuilder(view netlist.View, intern *Interner, depth int) *Builder {
 // Reset readies the builder for the next analysis over its view, which may
 // have changed since: it forgets every key made since the last reset and
 // resets its Interner, so it then hands out exactly the keys and KeyIDs a
-// fresh NewBuilder(view, NewInterner(), depth) would. It costs O(keys made)
-// and keeps the memo rows, the interner's probe table and all scratch.
+// fresh NewBuilder(view, NewInterner(), depth) would. It costs O(keys made),
+// the first reset O(memo size), and keeps the memo rows, the interner's
+// probe table, the cone storage and all scratch.
 //
 // Reset invalidates every KeyID and BitCone handed out before it, by this
 // builder or by another builder sharing its Interner.
 func (b *Builder) Reset() {
-	for _, mk := range b.trail {
-		b.memo[mk.depth-1][mk.net] = 0
+	if b.tracked {
+		for _, mk := range b.trail {
+			b.memo[mk.depth-1][mk.net] = 0
+		}
+	} else {
+		for _, row := range b.memo {
+			clear(row)
+		}
+		b.tracked = true
 	}
 	b.trail = b.trail[:0]
+	b.cones.rewind()
+	b.subs.rewind()
 	b.intern.Reset()
 }
 
@@ -184,10 +243,10 @@ func (b *Builder) Bit(net netlist.NetID) *BitCone {
 		return nil
 	}
 	b.inbuf = b.view.GateInputs(g, b.inbuf[:0])
-	bc := &BitCone{Net: net, RootGate: g, RootKind: kind}
-	bc.Subtrees = make([]Subtree, 0, len(b.inbuf))
-	for _, in := range b.inbuf {
-		bc.Subtrees = append(bc.Subtrees, Subtree{Root: in, Key: b.SubtreeKey(in, b.depth-1)})
+	bc := &b.cones.take(1)[0]
+	*bc = BitCone{Net: net, RootGate: g, RootKind: kind, Subtrees: b.subs.take(len(b.inbuf))}
+	for i, in := range b.inbuf {
+		bc.Subtrees[i] = Subtree{Root: in, Key: b.SubtreeKey(in, b.depth-1)}
 	}
 	sortSubtrees(bc.Subtrees)
 	b.idbuf = b.idbuf[:0]
@@ -251,6 +310,8 @@ func (b *Builder) subtreeKey(net netlist.NetID, depth, level int) KeyID {
 		b.memo[depth-1] = row
 	}
 	row[net] = id + 1
-	b.trail = append(b.trail, memoKey{net: net, depth: int32(depth)})
+	if b.tracked {
+		b.trail = append(b.trail, memoKey{net: net, depth: int32(depth)})
+	}
 	return id
 }

@@ -1,54 +1,5 @@
 package cone
 
-// MatchResult classifies the subtrees of two bits after the sorted
-// two-pointer comparison: Matched counts structurally similar subtree pairs;
-// DissimA/DissimB index the unmatched (dissimilar) subtrees of each bit.
-type MatchResult struct {
-	Matched int
-	DissimA []int
-	DissimB []int
-}
-
-// Full reports whether every subtree of both bits matched.
-func (m MatchResult) Full() bool { return len(m.DissimA) == 0 && len(m.DissimB) == 0 }
-
-// Partial reports whether at least one subtree pair matched but not all.
-func (m MatchResult) Partial() bool { return m.Matched > 0 && !m.Full() }
-
-// Match compares the sorted hash-key lists of two bits in O(k_a + k_b) with
-// the two-pointer walk of §2.3: when the keys under the pointers are equal
-// the subtrees are similar and both pointers advance; otherwise the pointer
-// at the smaller key advances and that subtree is recorded as dissimilar.
-// Keys are interned, so "smaller" is the interner's numeric key order; both
-// bits must come from builders sharing one Interner.
-func Match(a, b *BitCone) MatchResult {
-	var res MatchResult
-	i, j := 0, 0
-	for i < len(a.Subtrees) && j < len(b.Subtrees) {
-		ka, kb := a.Subtrees[i].Key, b.Subtrees[j].Key
-		if ka == kb {
-			res.Matched++
-			i++
-			j++
-			continue
-		}
-		if ka < kb {
-			res.DissimA = append(res.DissimA, i)
-			i++
-		} else {
-			res.DissimB = append(res.DissimB, j)
-			j++
-		}
-	}
-	for ; i < len(a.Subtrees); i++ {
-		res.DissimA = append(res.DissimA, i)
-	}
-	for ; j < len(b.Subtrees); j++ {
-		res.DissimB = append(res.DissimB, j)
-	}
-	return res
-}
-
 // FullMatch reports whether two bits have fully matching fanin cones: same
 // effective root kind and identical sorted subtree key lists. This is
 // equivalent to equality of the whole-cone keys.
@@ -57,12 +8,28 @@ func FullMatch(a, b *BitCone) bool {
 }
 
 // PartialMatch reports whether two bits share the root gate kind and at
-// least one similar subtree (the grouping criterion of §2.3).
+// least one similar subtree (the grouping criterion of §2.3). It is the
+// O(k_a + k_b) two-pointer walk of §2.3 over the sorted hash-key lists,
+// stopped at the first pair of equal keys: otherwise the pointer at the
+// smaller key advances past a dissimilar subtree. Keys are interned, so
+// "smaller" is the interner's numeric key order; both bits must come from
+// builders sharing one Interner.
 func PartialMatch(a, b *BitCone) bool {
 	if a.RootKind != b.RootKind {
 		return false
 	}
-	return Match(a, b).Matched > 0
+	i, j := 0, 0
+	for i < len(a.Subtrees) && j < len(b.Subtrees) {
+		switch ka, kb := a.Subtrees[i].Key, b.Subtrees[j].Key; {
+		case ka == kb:
+			return true
+		case ka < kb:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
 }
 
 // CommonKeys returns the multiset intersection of the subtree key lists of

@@ -36,53 +36,70 @@ func makeBits(it *Interner, kind logic.Kind, keyLists ...[]string) []*BitCone {
 func TestMatchFull(t *testing.T) {
 	it := NewInterner()
 	bits := makeBits(it, logic.Nand, []string{"x", "y"}, []string{"y", "x"})
-	m := Match(bits[0], bits[1])
-	if !m.Full() || m.Matched != 2 || m.Partial() {
-		t.Errorf("full match misclassified: %+v", m)
-	}
 	if !FullMatch(bits[0], bits[1]) {
 		t.Error("FullMatch false on identical key multisets")
+	}
+	if !PartialMatch(bits[0], bits[1]) {
+		t.Error("PartialMatch false on identical key multisets")
 	}
 }
 
 func TestMatchPartial(t *testing.T) {
 	it := NewInterner()
 	bits := makeBits(it, logic.Nand, []string{"x", "y", "z1"}, []string{"x", "y", "z2"})
-	m := Match(bits[0], bits[1])
-	if !m.Partial() || m.Matched != 2 {
-		t.Errorf("partial match misclassified: %+v", m)
+	if FullMatch(bits[0], bits[1]) || !PartialMatch(bits[0], bits[1]) {
+		t.Errorf("partial match misclassified: full %v, partial %v", FullMatch(bits[0], bits[1]), PartialMatch(bits[0], bits[1]))
 	}
-	if len(m.DissimA) != 1 || len(m.DissimB) != 1 {
-		t.Errorf("dissimilar indices: %+v", m)
-	}
-	if got := it.String(bits[0].Subtrees[m.DissimA[0]].Key); got != "z1" {
-		t.Errorf("dissimilar A = %q", got)
-	}
-	if !PartialMatch(bits[0], bits[1]) {
-		t.Error("PartialMatch false")
+	dis := Dissimilar(bits[0], CommonKeys(bits))
+	if len(dis) != 1 || it.String(dis[0].Key) != "z1" {
+		t.Errorf("dissimilar subtrees of bit 0: %+v", dis)
 	}
 }
 
 func TestMatchDisjoint(t *testing.T) {
 	it := NewInterner()
 	bits := makeBits(it, logic.Nand, []string{"a", "b"}, []string{"c", "d"})
-	m := Match(bits[0], bits[1])
-	if m.Matched != 0 || m.Full() || m.Partial() {
-		t.Errorf("disjoint match misclassified: %+v", m)
-	}
-	if PartialMatch(bits[0], bits[1]) {
-		t.Error("PartialMatch true on disjoint subtrees")
+	if FullMatch(bits[0], bits[1]) || PartialMatch(bits[0], bits[1]) {
+		t.Error("disjoint subtrees matched")
 	}
 }
 
 func TestMatchMultiset(t *testing.T) {
 	// Duplicate keys must match with multiset semantics: {x,x,y} vs {x,y,y}
-	// shares one x and one y.
+	// shares one x and one y, and each bit keeps one dissimilar subtree.
 	it := NewInterner()
 	bits := makeBits(it, logic.Nand, []string{"x", "x", "y"}, []string{"x", "y", "y"})
-	m := Match(bits[0], bits[1])
-	if m.Matched != 2 || len(m.DissimA) != 1 || len(m.DissimB) != 1 {
-		t.Errorf("multiset match: %+v", m)
+	common := CommonKeys(bits)
+	if !PartialMatch(bits[0], bits[1]) || len(common) != 2 {
+		t.Errorf("multiset match: partial %v, common %v", PartialMatch(bits[0], bits[1]), common)
+	}
+	for i, b := range bits {
+		if dis := Dissimilar(b, common); len(dis) != 1 {
+			t.Errorf("bit %d: dissimilar subtrees %+v, want one", i, dis)
+		}
+	}
+}
+
+// TestPartialMatchAgainstNaive checks PartialMatch on random key multisets
+// against the naive intersection: two bits of one root kind partially
+// match exactly when their key multisets intersect.
+func TestPartialMatchAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	alphabet := []string{"a", "b", "c", "d", "e", "f"}
+	for trial := 0; trial < 300; trial++ {
+		it := NewInterner()
+		var lists [][]string
+		for i := 0; i < 2; i++ {
+			keys := make([]string, rng.Intn(5))
+			for j := range keys {
+				keys[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+			lists = append(lists, keys)
+		}
+		bits := makeBits(it, logic.Nand, lists...)
+		if got, want := PartialMatch(bits[0], bits[1]), len(naiveIntersect(it, bits)) > 0; got != want {
+			t.Fatalf("trial %d: PartialMatch(%v, %v) = %v, want %v", trial, lists[0], lists[1], got, want)
+		}
 	}
 }
 

@@ -160,3 +160,45 @@ func TestBuilderResetMatchesFresh(t *testing.T) {
 		t.Errorf("coverage: %d groups after a probe-table growth, %d after an atom", cov.afterGrowth, cov.afterAtom)
 	}
 }
+
+// TestBuilderStorageRecycled pins the builder's cone storage. Every cone
+// Bit hands out keeps its contents, and a subtree list its capacity, while
+// later calls fill more chunks: on a random circuit of 2,000 gates, which
+// fills several chunks of each kind, every cone is copied when handed out
+// and compared with the copy after the last. Once a Reset builder has keyed
+// a net set, keying it again after the next Reset allocates nothing.
+func TestBuilderStorageRecycled(t *testing.T) {
+	nl, driven := randomNetlist(rand.New(rand.NewSource(7)), 2000)
+	b := cone.NewBuilder(nl, cone.NewInterner(), cone.DefaultDepth)
+	var cones, copies []*cone.BitCone
+	subtrees := 0
+	for _, n := range driven {
+		bc := b.Bit(n)
+		if bc == nil {
+			continue
+		}
+		if cap(bc.Subtrees) != len(bc.Subtrees) {
+			t.Fatalf("net %s: subtree list has capacity %d past its %d subtrees", nl.NetName(n), cap(bc.Subtrees), len(bc.Subtrees))
+		}
+		c := *bc
+		c.Subtrees = append([]cone.Subtree(nil), bc.Subtrees...)
+		cones, copies = append(cones, bc), append(copies, &c)
+		subtrees += len(bc.Subtrees)
+	}
+	if len(cones) <= 3*256 || subtrees <= 3*1024 {
+		t.Fatalf("coverage: %d cones and %d subtrees fill too few chunks", len(cones), subtrees)
+	}
+	for i, bc := range cones {
+		requireSameCone(t, fmt.Sprintf("cone %d after the last Bit", i), bc, copies[i])
+	}
+	key := func() {
+		b.Reset()
+		for _, n := range driven {
+			b.Bit(n)
+		}
+	}
+	key()
+	if allocs := testing.AllocsPerRun(5, key); allocs != 0 {
+		t.Errorf("a warm reset builder allocated %.0f times keying the same nets", allocs)
+	}
+}

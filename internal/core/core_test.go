@@ -332,7 +332,7 @@ func TestTryAssignmentAccounting(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := newPipeline(nl, Options{}.withDefaults(), &worker{})
+	p := newPipeline(nl, Options{}.withDefaults(), nil)
 	p.b = cone.NewBuilder(nl, cone.NewInterner(), p.opt.Depth)
 	bits := []*cone.BitCone{p.b.Bit(bit)}
 	if bits[0] == nil {
@@ -342,16 +342,16 @@ func TestTryAssignmentAccounting(t *testing.T) {
 	if tr := p.tryAssignment(bits, map[netlist.NetID]logic.Value{k: logic.Zero, z: logic.Zero}); tr != nil {
 		t.Fatal("contradictory assignment accepted")
 	}
-	if p.result.Stats.Reductions != 0 {
-		t.Errorf("infeasible trial counted as reduction: %+v", p.result.Stats)
+	if p.stats.Reductions != 0 {
+		t.Errorf("infeasible trial counted as reduction: %+v", p.stats)
 	}
 
 	tr := p.tryAssignment(bits, map[netlist.NetID]logic.Value{k: logic.Zero})
 	if tr == nil {
 		t.Fatal("feasible assignment rejected")
 	}
-	if p.result.Stats.Reductions != 1 {
-		t.Errorf("feasible trial not counted: %+v", p.result.Stats)
+	if p.stats.Reductions != 1 {
+		t.Errorf("feasible trial not counted: %+v", p.stats)
 	}
 	if tr.maxClass != 1 || len(tr.classes) != 1 {
 		t.Errorf("trial classes: %+v", tr)
@@ -459,7 +459,7 @@ func TestBestTrialSurvivesLaterTrials(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := newPipeline(nl, Options{VerifyReduction: true}.withDefaults(), &worker{})
+	p := newPipeline(nl, Options{VerifyReduction: true}.withDefaults(), nil)
 	p.b = cone.NewBuilder(nl, cone.NewInterner(), p.opt.Depth)
 	var bits []*cone.BitCone
 	for _, n := range nets {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"gatewords/internal/cone"
 	"gatewords/internal/ctrlsig"
 	"gatewords/internal/group"
@@ -18,10 +20,11 @@ import (
 // the trial as tryAssignment does, on the worker's reused propagator.
 func EachTrial(nl *netlist.Netlist, opt Options, fn func(bits []netlist.NetID, assign map[netlist.NetID]logic.Value, propagate func() (*reduce.Reduction, error))) {
 	opt = opt.withDefaults()
-	w := &worker{}
+	p := newPipeline(nl, opt, nil)
 	for _, nets := range group.Adjacent(nl, group.Options{DFFInputsOnly: opt.DFFInputsOnly}) {
-		p := newPipeline(nl, opt, w)
-		for _, bits := range p.formSubgroups(nets) {
+		p.formSubgroups(nets)
+		for _, r := range p.subgroups {
+			bits := p.bits[r.lo:r.hi]
 			if len(bits) < 2 {
 				continue
 			}
@@ -35,7 +38,7 @@ func EachTrial(nl *netlist.Netlist, opt Options, fn func(bits []netlist.NetID, a
 				signals = signals[:maxControlSignals]
 			}
 			p.forEachAssignment(signals, func(assign map[netlist.NetID]logic.Value) bool {
-				fn(bitNets(bits), assign, func() (*reduce.Reduction, error) { return p.propagate(bits, assign) })
+				fn(slices.Clone(nets[r.lo:r.hi]), assign, func() (*reduce.Reduction, error) { return p.propagate(bits, assign) })
 				return true
 			})
 		}

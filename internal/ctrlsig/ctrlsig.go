@@ -121,8 +121,7 @@ func markFaninWithin(nl *netlist.Netlist, src netlist.NetID, region map[netlist.
 // When the net feeds only gates without a controlling value (parity gates,
 // muxes), both values are feasible.
 func makeSignal(nl *netlist.Netlist, n netlist.NetID, region map[netlist.NetID]int) Signal {
-	s := Signal{Net: n}
-	have := map[logic.Value]bool{}
+	var zero, one bool // the feasible values found
 	addFrom := func(restrict bool) {
 		for _, g := range nl.Net(n).Fanout {
 			gate := nl.Gate(g)
@@ -130,23 +129,24 @@ func makeSignal(nl *netlist.Netlist, n netlist.NetID, region map[netlist.NetID]i
 				continue
 			}
 			if cv, ok := gate.Kind.ControllingValue(); ok {
-				have[cv] = true
+				zero = zero || cv == logic.Zero
+				one = one || cv == logic.One
 			}
 		}
 	}
 	addFrom(true)
-	if len(have) == 0 {
+	if !zero && !one {
 		addFrom(false)
 	}
-	if len(have) == 0 {
-		have[logic.Zero] = true
-		have[logic.One] = true
+	if !zero && !one {
+		zero, one = true, true
 	}
 	// Deterministic order: 0 before 1.
-	if have[logic.Zero] {
+	s := Signal{Net: n}
+	if zero {
 		s.Values = append(s.Values, logic.Zero)
 	}
-	if have[logic.One] {
+	if one {
 		s.Values = append(s.Values, logic.One)
 	}
 	return s

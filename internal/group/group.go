@@ -26,6 +26,10 @@ type Options struct {
 // roots are all "3-input NAND gates", so a 2-input NAND line breaks the run.
 // Flip-flop lines are not candidates themselves (a word bit is the net
 // feeding the register, whose cone is combinational) and they break runs.
+//
+// The groups are cut, capacity-limited, from one array of every candidate
+// net in file order: a first pass counts the candidates and the runs, a
+// second fills them.
 func Adjacent(nl *netlist.Netlist, opt Options) [][]netlist.NetID {
 	feedsDFF := map[netlist.NetID]bool{}
 	if opt.DFFInputsOnly {
@@ -39,33 +43,43 @@ func Adjacent(nl *netlist.Netlist, opt Options) [][]netlist.NetID {
 		kind  logic.Kind
 		arity int
 	}
-	var groups [][]netlist.NetID
-	var run []netlist.NetID
-	prev := rootType{kind: logic.Invalid}
-	flush := func() {
-		if len(run) > 0 {
-			groups = append(groups, run)
-			run = nil
-		}
-		prev = rootType{kind: logic.Invalid}
-	}
-	for gi := 0; gi < nl.GateCount(); gi++ {
-		g := nl.Gate(netlist.GateID(gi))
-		if !g.Kind.IsCombinational() {
-			flush()
-			continue
-		}
-		if opt.DFFInputsOnly && !feedsDFF[g.Output] {
-			flush()
-			continue
-		}
-		cur := rootType{kind: g.Kind, arity: len(g.Inputs)}
-		if cur != prev {
-			flush()
+	// each calls fn for every candidate line in file order, with whether
+	// it starts a run.
+	each := func(fn func(out netlist.NetID, starts bool)) {
+		prev := rootType{kind: logic.Invalid}
+		for gi := 0; gi < nl.GateCount(); gi++ {
+			g := nl.Gate(netlist.GateID(gi))
+			if !g.Kind.IsCombinational() || opt.DFFInputsOnly && !feedsDFF[g.Output] {
+				prev = rootType{kind: logic.Invalid}
+				continue
+			}
+			cur := rootType{kind: g.Kind, arity: len(g.Inputs)}
+			fn(g.Output, cur != prev)
 			prev = cur
 		}
-		run = append(run, g.Output)
 	}
+	nets, runs := 0, 0
+	each(func(_ netlist.NetID, starts bool) {
+		nets++
+		if starts {
+			runs++
+		}
+	})
+	all := make([]netlist.NetID, 0, nets)
+	groups := make([][]netlist.NetID, 0, runs)
+	start := 0
+	flush := func() {
+		if len(all) > start {
+			groups = append(groups, all[start:len(all):len(all)])
+			start = len(all)
+		}
+	}
+	each(func(out netlist.NetID, starts bool) {
+		if starts {
+			flush()
+		}
+		all = append(all, out)
+	})
 	flush()
 	return groups
 }

@@ -21,36 +21,42 @@ type Result struct {
 }
 
 // Identify runs shape hashing on nl with the given fanin-cone depth
-// (cone.DefaultDepth when depth <= 0).
+// (cone.DefaultDepth when depth <= 0). Every word is a run of consecutive
+// nets of one adjacency group, so it is cut, capacity-limited, from the
+// group's storage.
 func Identify(nl *netlist.Netlist, depth int) *Result {
 	groups := group.Adjacent(nl, group.Options{})
 	it := cone.NewInterner()
 	b := cone.NewBuilder(nl, it, depth)
-	res := &Result{Groups: len(groups)}
+	nets := 0
+	for _, g := range groups {
+		nets += len(g)
+	}
+	res := &Result{Groups: len(groups), Words: make([][]netlist.NetID, 0, nets)}
 	for _, g := range groups {
 		var prev *cone.BitCone
-		var run []netlist.NetID
-		flush := func() {
-			if len(run) > 0 {
-				res.Words = append(res.Words, run)
-				run = nil
+		start := 0
+		flush := func(end int) {
+			if end > start {
+				res.Words = append(res.Words, g[start:end:end])
 			}
 		}
-		for _, net := range g {
+		for i, net := range g {
 			bc := b.Bit(net)
 			if bc == nil {
-				flush()
+				flush(i)
+				start = i + 1
 				prev = nil
 				continue
 			}
 			res.Bits++
-			if prev == nil || !cone.FullMatch(prev, bc) {
-				flush()
+			if prev != nil && !cone.FullMatch(prev, bc) {
+				flush(i)
+				start = i
 			}
-			run = append(run, net)
 			prev = bc
 		}
-		flush()
+		flush(len(g))
 	}
 	return res
 }
