@@ -122,6 +122,7 @@ func TestScoreWordConvention(t *testing.T) {
 		{"1-bit covered", ref("w", 1), [][]netlist.NetID{{1, 2}}, FullyFound},
 		{"1-bit covered by singleton gen word", ref("w", 1), [][]netlist.NetID{{1}}, FullyFound},
 		{"1-bit uncovered", ref("w", 1), [][]netlist.NetID{{2, 3}}, NotFound},
+		{"1-bit above every generated net", ref("w", 9), [][]netlist.NetID{{2, 3}}, NotFound},
 		{"1-bit no generated words", ref("w", 1), nil, NotFound},
 		// >= 2 bits: the paper's conditions apply unchanged.
 		{"2-bit together", ref("w", 1, 2), [][]netlist.NetID{{1, 2}}, FullyFound},
