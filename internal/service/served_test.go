@@ -188,6 +188,20 @@ func permuteGateLines(t *testing.T, src string, perm func(idx []int)) string {
 // rendered netlist, everywhere they occur.
 func renameNets(t *testing.T, rng *rand.Rand, src string) string {
 	t.Helper()
+	return mapNets(t, src, func(names []string) map[string]string {
+		to := make(map[string]string, len(names))
+		for i, k := range rng.Perm(len(names)) {
+			to[names[i]] = fmt.Sprintf("rn%d", k)
+		}
+		return to
+	})
+}
+
+// mapNets replaces every occurrence of a declared net name of a rendered
+// netlist (names in declaration order) by the Verilog text rename maps it
+// to; names it leaves out stay as they are.
+func mapNets(t *testing.T, src string, rename func(names []string) map[string]string) string {
+	t.Helper()
 	var names []string
 	for _, l := range strings.Split(src, "\n") {
 		f := strings.Fields(l)
@@ -198,10 +212,7 @@ func renameNets(t *testing.T, rng *rand.Rand, src string) string {
 	if len(names) == 0 {
 		t.Fatal("no net declarations found to rename")
 	}
-	to := make(map[string]string, len(names))
-	for i, k := range rng.Perm(len(names)) {
-		to[names[i]] = fmt.Sprintf("rn%d", k)
-	}
+	to := rename(names)
 	var b strings.Builder
 	for i := 0; i < len(src); {
 		j := i
