@@ -26,7 +26,7 @@ type cacheEntry struct {
 	key    string
 	origin string // ID of the job whose execution produced the report
 	module string // that job's module name, which a hit serves unparsed
-	report []byte
+	report *storedReport
 	// body is the sum of the POST body that stored the entry, or of the one
 	// that last hit it through a decode, and opts are that body's
 	// normalized options. Equal bytes decode to the same request, so a

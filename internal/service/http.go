@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // SubmitRequest is the POST /v1/jobs body: exactly one of Verilog (inline
@@ -34,8 +36,9 @@ type JobStatus struct {
 	Report        json.RawMessage `json:"report,omitempty"`
 }
 
-// statusLocked renders a job under the server mutex.
-func statusLocked(j *Job, includeReport bool) JobStatus {
+// statusLocked renders a job under the server mutex: its status envelope
+// and, once the job is done, the stored report that writeStatus attaches.
+func statusLocked(j *Job) (JobStatus, *storedReport) {
 	st := JobStatus{
 		ID:            j.ID,
 		Status:        j.State,
@@ -46,10 +49,10 @@ func statusLocked(j *Job, includeReport bool) JobStatus {
 		Interrupted:   j.Interrupted,
 		Error:         j.Err,
 	}
-	if includeReport && j.State == StateDone {
-		st.Report = j.Report
+	if j.State == StateDone {
+		return st, j.stored
 	}
-	return st
+	return st, nil
 }
 
 // Handler returns the server's HTTP API:
@@ -86,7 +89,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // body is decoded and submitted, and once admitted its sum is recorded for
 // the cache entry its request reaches.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, s.cfg.MaxRequestBytes)
+	buf, err := s.readBody(w, r)
+	defer s.releaseBody(buf)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -99,12 +103,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	body := buf.Bytes()
 	sum := bodySum(sha256.Sum256(body))
 	s.mu.Lock()
 	if job := s.answerBodyLocked(sum); job != nil {
-		st := statusLocked(job, true)
+		st, rep := statusLocked(job)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		writeStatus(w, http.StatusOK, st, rep)
 		return
 	}
 	s.mu.Unlock()
@@ -135,13 +140,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	s.noteBodyLocked(job, sum)
-	st := statusLocked(job, true)
+	st, rep := statusLocked(job)
 	s.mu.Unlock()
 	code := http.StatusAccepted
 	if st.Cached {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	writeStatus(w, code, st, rep)
 }
 
 // maxPresize caps the buffer that a declared Content-Length reserves before
@@ -149,20 +154,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // stalls pins at most this much; a longer body grows the buffer as it comes.
 const maxPresize = 1 << 20
 
-// readBody reads a request body whole, failing with *http.MaxBytesError
-// once it passes limit. A declared length up to maxPresize sizes the buffer
-// in one allocation, with bytes.MinRead to spare so reading to EOF does not
-// grow it.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readBody reads a request body whole into a buffer from the server's
+// pool, failing with *http.MaxBytesError once it passes the body limit. A
+// declared length up to maxPresize sizes the buffer, with bytes.MinRead to
+// spare so reading to EOF does not grow it; a pooled buffer too small for
+// that is dropped for one allocated at that size, never grown, so the cap
+// holds. The handler hands the buffer back with releaseBody when it returns.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	limit := s.cfg.MaxRequestBytes
 	var size int64
 	if n := r.ContentLength; n > 0 {
 		size = min(n, limit, maxPresize)
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
-		return nil, err
+	buf, _ := s.bodies.Get().(*bytes.Buffer)
+	if buf == nil || int64(buf.Cap()) < size+bytes.MinRead {
+		buf = bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
 	}
-	return buf.Bytes(), nil
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf, err
+}
+
+// releaseBody returns a body buffer to the pool, unless a body longer than
+// maxPresize grew it past what a declared length may reserve.
+func (s *Server) releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPresize+bytes.MinRead {
+		s.bodies.Put(buf)
+	}
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -173,16 +191,17 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	st := statusLocked(job, true)
+	st, rep := statusLocked(job)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	writeStatus(w, http.StatusOK, st, rep)
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	list := make([]JobStatus, 0, len(s.order))
 	for _, id := range s.order {
-		list = append(list, statusLocked(s.jobs[id], false))
+		st, _ := statusLocked(s.jobs[id])
+		list = append(list, st)
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": list})
@@ -212,6 +231,72 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // the response is already committed
+}
+
+// writeStatus writes the document writeJSON writes for st with rep's raw
+// bytes as its report, without encoding those bytes again: it encodes the
+// envelope alone, drops its closing "\n}\n", and appends the report's
+// response form. A status without a report, or with one that does not
+// render, goes through writeJSON.
+func writeStatus(w http.ResponseWriter, code int, st JobStatus, rep *storedReport) {
+	if rep == nil {
+		writeJSON(w, code, st)
+		return
+	}
+	form := rep.responseForm()
+	if form == nil {
+		st.Report = rep.raw
+		writeJSON(w, code, st)
+		return
+	}
+	var env bytes.Buffer
+	enc := json.NewEncoder(&env)
+	enc.SetIndent("", "  ")
+	enc.Encode(st) //nolint:errcheck // strings and bools always encode
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	// The response is committed: a failed write has nowhere to go.
+	w.Write(bytes.TrimSuffix(env.Bytes(), []byte("\n}\n")))
+	io.WriteString(w, ",\n  \"report\": ")
+	w.Write(form)
+	io.WriteString(w, "\n}\n")
+}
+
+// storedReport holds one report's bytes, as a run serialized them or the
+// journal restored them, and their response form: the bytes as writeJSON
+// embeds a json.RawMessage under "report" in a job status, compacted with
+// HTML escaping and indented one level deep. The cache entry and every job
+// that serves the same bytes (the primary, its coalesced duplicates, each
+// hit, a restored job and the entry re-seeded from it) share one
+// storedReport, so the form is rendered once, on the first response that
+// needs it, outside the server mutex.
+type storedReport struct {
+	raw  []byte
+	once sync.Once
+	form []byte // nil until rendered, and when raw does not render
+}
+
+func newStoredReport(raw []byte) *storedReport { return &storedReport{raw: raw} }
+
+// responseForm returns the report's response form, rendering it on the
+// first call, or nil when raw is empty or not JSON, which writeJSON omits
+// or cannot encode.
+func (r *storedReport) responseForm() []byte {
+	r.once.Do(func() {
+		if len(r.raw) == 0 {
+			return
+		}
+		compact, err := json.Marshal(json.RawMessage(r.raw))
+		if err != nil {
+			return
+		}
+		// json.Indent reserves twice its input before it writes.
+		form := bytes.NewBuffer(make([]byte, 0, 2*len(compact)))
+		if json.Indent(form, compact, "  ", "  ") == nil {
+			r.form = form.Bytes()
+		}
+	})
+	return r.form
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {

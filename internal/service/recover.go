@@ -99,6 +99,7 @@ type replJob struct {
 	state   string // queued | running | done | failed
 	done    *doneData
 	failMsg string
+	stored  *storedReport // done.Report's holder, once a job resolves to it
 }
 
 // replayRecord is one journal payload decoded in a single pass: its job and
@@ -224,7 +225,8 @@ func (s *Server) replayJournal(records []replayRecord, torn int) {
 				Cached:        j.acc.Cached,
 				CoalescedWith: j.acc.Coalesced,
 				Interrupted:   j.done.Interrupted,
-				Report:        report,
+				Report:        report.raw,
+				stored:        report,
 				Done:          closedChan(),
 				opts:          j.acc.Opts,
 			}
@@ -262,17 +264,21 @@ func (s *Server) replayJournal(records []replayRecord, torn int) {
 	s.counters.JournalTornRecords = int64(torn)
 }
 
-// resolveReport finds a done job's report bytes: inline for primaries, via
-// the referenced primary for cache hits and coalesced duplicates.
-func resolveReport(byID map[string]*replJob, j *replJob) ([]byte, bool) {
-	if len(j.done.Report) > 0 {
-		return j.done.Report, true
+// resolveReport finds a done job's report: inline for primaries, via the
+// referenced primary for cache hits and coalesced duplicates. Every job
+// that resolves to one primary's bytes shares that primary's storedReport.
+func resolveReport(byID map[string]*replJob, j *replJob) (*storedReport, bool) {
+	p := j
+	if len(j.done.Report) == 0 {
+		p = byID[j.done.Primary]
+		if p == nil || p.done == nil || len(p.done.Report) == 0 {
+			return nil, false
+		}
 	}
-	p := byID[j.done.Primary]
-	if p == nil || p.done == nil || len(p.done.Report) == 0 {
-		return nil, false
+	if p.stored == nil {
+		p.stored = newStoredReport(p.done.Report)
 	}
-	return p.done.Report, true
+	return p.stored, true
 }
 
 // restoreFailedLocked registers one journal job in terminal failed state.

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"gatewords/internal/guard"
+	"gatewords/internal/report"
 )
 
 // htmlChars are the characters a JSON Encoder escapes in strings by
@@ -57,6 +60,11 @@ func wantResponse(t *testing.T, s *Server, id string) []byte {
 	if !ok {
 		t.Fatalf("job %s unknown", id)
 	}
+	return encodeStatus(s, job)
+}
+
+// encodeStatus is wantResponse for a job already looked up.
+func encodeStatus(s *Server, job *Job) []byte {
 	s.mu.Lock()
 	st := JobStatus{
 		ID:            job.ID,
@@ -75,9 +83,7 @@ func wantResponse(t *testing.T, s *Server, id string) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(st); err != nil {
-		t.Fatal(err)
-	}
+	enc.Encode(st) //nolint:errcheck // strings, bools and a valid report
 	return buf.Bytes()
 }
 
@@ -119,13 +125,14 @@ func rawReport(report []byte) []byte {
 	return report
 }
 
-// appendForeignPrimary appends to the journal at path, framed by hand, the
+// appendForeignPrimary appends to the journal at path, creating it, the
 // accepted and done records of a completed primary job whose report bytes
-// hold '<', '>', '&' and U+2028 unescaped, which the journal's own writer
-// never produces and replay accepts.
+// hold '<', '>', '&' and U+2028 unescaped. The records are framed by hand:
+// the journal's own writer never produces such bytes, but replay accepts
+// them.
 func appendForeignPrimary(t *testing.T, path, id, key, module string, report []byte) {
 	t.Helper()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,4 +236,147 @@ func TestResponseBytes(t *testing.T) {
 	foreignBody, _ := json.Marshal(SubmitRequest{Verilog: foreignReq.Verilog})
 	checkResponse(t, s2, "hit on the unescaped report", post(h2, foreignBody), http.StatusOK)
 	checkResponse(t, s2, "hit on the unescaped report again", post(h2, foreignBody), http.StatusOK)
+}
+
+// TestConcurrentBodyReuse races clients that post bodies of one length and
+// different bytes, which pass through the same pooled body buffers. First
+// every client posts every text: misses and coalesced duplicates of the
+// fresh texts, decode-path hits of the journaled ones. Then all clients
+// fetch each job at once, which renders a report's response form unless a
+// hit already has. Last, every client posts every text again, as raw hits
+// and decode-path hits. Every served report must equal a direct run of its
+// own text, every job's Module and Key must be its own, and every response
+// that carries a report must be the job's encoded JobStatus byte for byte.
+// The journaled texts' reports are stored with '<', '>', '&' and U+2028
+// unescaped, so their responses must escape them.
+func TestConcurrentBodyReuse(t *testing.T) {
+	const texts, clients = 6, 6
+	type text struct {
+		body, reordered []byte
+		key, module     string
+		direct          []byte
+	}
+	ts := make([]text, texts)
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	for k := range ts {
+		src := escapedDesign(t, "b03a", fmt.Sprintf("m%d", k), fmt.Sprintf("t%d", k))
+		body, err := json.Marshal(SubmitRequest{Verilog: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		verilog, _ := json.Marshal(src)
+		ts[k] = text{
+			body:      body,
+			reordered: []byte(`{"options":{},"verilog":` + string(verilog) + `}`),
+			key:       requestKey(Source{Verilog: src}, JobOptions{}),
+			module:    fmt.Sprintf("m%d", k) + htmlChars,
+			direct:    directReport(t, SubmitRequest{Verilog: src}),
+		}
+		if len(ts[k].body) != len(ts[0].body) || len(ts[k].reordered) != len(ts[0].body) {
+			t.Fatalf("text %d: bodies of %d and %d bytes, want %d", k, len(ts[k].body), len(ts[k].reordered), len(ts[0].body))
+		}
+		if k < texts/2 {
+			appendForeignPrimary(t, path, jobID(int64(k+1)), ts[k].key, ts[k].module, rawReport(ts[k].direct))
+		}
+	}
+	s := mustNew(t, Config{Workers: 2, JournalPath: path})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+
+	// check validates one response of text k and returns its job, or nil
+	// after reporting what is wrong.
+	check := func(what string, k int, rec *httptest.ResponseRecorder) *Job {
+		var st JobStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Errorf("%s: status %d, %v", what, rec.Code, err)
+			return nil
+		}
+		if st.Key != ts[k].key || st.Module != ts[k].module {
+			t.Errorf("%s: job %s has key %s and module %q, want text %d's %s and %q", what, st.ID, st.Key, st.Module, k, ts[k].key, ts[k].module)
+		}
+		job, ok := s.Lookup(st.ID)
+		if !ok {
+			t.Errorf("%s: job %s unknown", what, st.ID)
+			return nil
+		}
+		if st.Status != StateDone {
+			return job
+		}
+		if want := encodeStatus(s, job); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s: job %s responded\n%s\nwant\n%s", what, st.ID, rec.Body.Bytes(), want)
+		}
+		doc, err := report.Read(bytes.NewReader(st.Report))
+		if err != nil {
+			t.Errorf("%s: job %s: %v", what, st.ID, err)
+			return job
+		}
+		doc.Runtime = 0
+		var got bytes.Buffer
+		if err := doc.Write(&got); err != nil || !bytes.Equal(got.Bytes(), ts[k].direct) {
+			t.Errorf("%s: job %s served another report than a direct run of text %d", what, st.ID, k)
+		}
+		return job
+	}
+	// together runs f on every client at once.
+	together := func(f func(c int)) {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				f(c)
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+
+	// Each client posts every text once, starting at its own: misses and
+	// coalesced duplicates of the fresh texts, decode-path hits of the
+	// journaled ones.
+	var mu sync.Mutex
+	var jobs []*Job
+	textOf := map[*Job]int{}
+	together(func(c int) {
+		for i := 0; i < texts; i++ {
+			k := (c + i) % texts
+			body := ts[k].body
+			if c%2 == 1 {
+				body = ts[k].reordered
+			}
+			if job := check(fmt.Sprintf("client %d, first post of text %d", c, k), k, post(h, body)); job != nil {
+				mu.Lock()
+				jobs = append(jobs, job)
+				textOf[job] = k
+				mu.Unlock()
+			}
+		}
+	})
+	// Every client fetches each job at once; the fresh texts' reports
+	// render on the first of these fetches, or on a hit above.
+	for _, job := range jobs {
+		<-job.Done
+		together(func(c int) {
+			check(fmt.Sprintf("client %d, GET %s", c, job.ID), textOf[job], get(h, "/v1/jobs/"+job.ID))
+		})
+	}
+	// Raw hits and decode-path hits of every text.
+	together(func(c int) {
+		for i := 0; i < texts; i++ {
+			k := (c + i) % texts
+			for _, body := range [][]byte{ts[k].body, ts[k].reordered, ts[k].body} {
+				rec := post(h, body)
+				if rec.Code != http.StatusOK {
+					t.Errorf("client %d, resubmission of text %d: status %d", c, k, rec.Code)
+					continue
+				}
+				check(fmt.Sprintf("client %d, resubmission of text %d", c, k), k, rec)
+			}
+		}
+	})
+	if m, _ := s.Metrics(); m.PipelineRuns != texts/2 {
+		t.Errorf("pipeline runs = %d, want %d (one per fresh text)", m.PipelineRuns, texts/2)
+	}
 }

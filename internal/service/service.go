@@ -237,6 +237,8 @@ type Job struct {
 	Err string
 	// Report is the serialized report.Document for StateDone jobs.
 	Report []byte
+	// stored holds Report and its response form for StateDone jobs.
+	stored *storedReport
 	// Done is closed when the job reaches done or failed.
 	Done chan struct{}
 
@@ -309,6 +311,10 @@ type Server struct {
 	// It has its own leaf lock; appends from under mu are plain file I/O.
 	journal  *journal.Journal
 	recovery RecoveryReport
+
+	// bodies recycles request-body buffers (*bytes.Buffer) across POSTs;
+	// see readBody.
+	bodies sync.Pool
 
 	mu       sync.Mutex
 	closed   bool
@@ -608,7 +614,8 @@ func (s *Server) hitLocked(e cacheEntry, opts JobOptions) *Job {
 		Module: e.module,
 		State:  StateDone,
 		Cached: true,
-		Report: e.report,
+		Report: e.report.raw,
+		stored: e.report,
 		Done:   closedChan(),
 		opts:   opts,
 	}
@@ -750,11 +757,15 @@ func (s *Server) runJob(job *Job) {
 	} else {
 		s.breaker.succeed(job.Fingerprint)
 	}
+	var stored *storedReport
+	if err == nil {
+		stored = newStoredReport(report)
+	}
 	if err == nil && !interrupted {
 		// Interrupted (deadline-truncated) reports are wall-clock artifacts,
 		// not properties of the design; they are served but never cached.
 		s.cache.put(cacheEntry{
-			key: job.Key, origin: job.ID, module: job.Module, report: report,
+			key: job.Key, origin: job.ID, module: job.Module, report: stored,
 			body: job.body, opts: job.opts,
 		})
 	}
@@ -772,9 +783,9 @@ func (s *Server) runJob(job *Job) {
 			s.journalAppendLocked(w.ID, "done", doneData{Primary: job.ID, Interrupted: interrupted})
 		}
 	}
-	s.finishLocked(job, report, interrupted, err)
+	s.finishLocked(job, stored, interrupted, err)
 	for _, w := range job.waiters {
-		s.finishLocked(w, report, interrupted, err)
+		s.finishLocked(w, stored, interrupted, err)
 	}
 	job.waiters = nil
 }
@@ -818,14 +829,15 @@ func executeJob(job *Job, observer *gatewords.Observer) (report []byte, interrup
 	return buf.Bytes(), rep.Interrupted, nil
 }
 
-func (s *Server) finishLocked(job *Job, report []byte, interrupted bool, err error) {
+func (s *Server) finishLocked(job *Job, report *storedReport, interrupted bool, err error) {
 	if err != nil {
 		job.State = StateFailed
 		job.Err = err.Error()
 		s.counters.JobsFailed++
 	} else {
 		job.State = StateDone
-		job.Report = report
+		job.Report = report.raw
+		job.stored = report
 		job.Interrupted = interrupted
 		s.counters.JobsDone++
 	}
