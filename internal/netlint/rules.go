@@ -3,8 +3,8 @@ package netlint
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"gatewords/internal/logic"
 	"gatewords/internal/netlist"
@@ -285,19 +285,22 @@ func firstDup(ins []netlist.NetID) netlist.NetID {
 
 // runDupDriver groups gates by (kind, canonical input list) — inputs sorted
 // for commutative kinds — and reports each group of two or more structurally
-// identical gates once.
+// identical gates once, in the order of each group's first gate.
 func runDupDriver(c *context) {
-	groups := make(map[string][]netlist.GateID)
-	var order []string
+	index := make(map[string]int) // key -> position in groups
+	var groups [][]netlist.GateID
+	var key []byte
 	for gi := 0; gi < c.nl.GateCount(); gi++ {
-		key := dupKey(c.nl, netlist.GateID(gi))
-		if len(groups[key]) == 0 {
-			order = append(order, key)
+		key = appendDupKey(key[:0], c.nl.Gate(netlist.GateID(gi)))
+		i, ok := index[string(key)]
+		if !ok {
+			i = len(groups)
+			index[string(key)] = i
+			groups = append(groups, nil)
 		}
-		groups[key] = append(groups[key], netlist.GateID(gi))
+		groups[i] = append(groups[i], netlist.GateID(gi))
 	}
-	for _, key := range order {
-		grp := groups[key]
+	for _, grp := range groups {
 		if len(grp) < 2 {
 			continue
 		}
@@ -311,23 +314,23 @@ func runDupDriver(c *context) {
 	}
 }
 
-// dupKey renders NL203's notion of structural identity: the gate kind plus
-// the input list, sorted for commutative kinds. Two gates with equal keys are
-// the structural duplicates NL203 reports; NL401 uses the same key to report
-// only the semantic duplicates NL203 cannot see.
-func dupKey(nl *netlist.Netlist, gi netlist.GateID) string {
-	g := nl.Gate(gi)
-	ins := append([]netlist.NetID(nil), g.Inputs...)
+// appendDupKey appends NL203's notion of structural identity to key: the
+// gate kind plus the input list, sorted for commutative kinds. Two gates
+// with equal keys are the structural duplicates NL203 reports; NL401 uses
+// the same key to report only the semantic duplicates NL203 cannot see.
+func appendDupKey(key []byte, g *netlist.Gate) []byte {
+	var small [8]netlist.NetID
+	ins := append(small[:0], g.Inputs...)
 	switch g.Kind {
 	case logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor:
-		sort.Slice(ins, func(i, j int) bool { return ins[i] < ins[j] })
+		slices.Sort(ins)
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d", g.Kind)
+	key = strconv.AppendInt(key, int64(g.Kind), 10)
 	for _, in := range ins {
-		fmt.Fprintf(&sb, ":%d", in)
+		key = append(key, ':')
+		key = strconv.AppendInt(key, int64(in), 10)
 	}
-	return sb.String()
+	return key
 }
 
 // runXSource reports each undriven non-PI net that is actually read, with

@@ -269,8 +269,10 @@ func runSemanticDup(c *context) {
 		// identical; only a group spanning distinct structural keys is
 		// news.
 		keys := make(map[string]bool)
+		var key []byte
 		for _, gi := range gr.members {
-			keys[dupKey(c.nl, gi)] = true
+			key = appendDupKey(key[:0], c.nl.Gate(gi))
+			keys[string(key)] = true
 		}
 		if len(keys) < 2 {
 			continue
