@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet gatevet vet-fix faults serve-smoke chaos chaos-long bench perfbench-check perfbench-smoke race loc
+.PHONY: build test check vet gatevet vet-fix faults serve-smoke chaos chaos-long bench bench-smoke perfbench-check perfbench-smoke race loc
 
 build:
 	$(GO) build ./...
@@ -33,11 +33,11 @@ vet-fix:
 # once, in this order: vet and formatting, the contract analyzers, the
 # race-detector test pass (which subsumes the plain test pass — every test
 # runs exactly once, instrumented), the fault-injection matrix, the daemon
-# smoke, the chaos soak, and the benchmark module's vet, tests and workload
-# smoke. gatevet runs before the test passes: contract findings are cheaper
-# to surface than a full race run.
+# smoke, the chaos soak, the benchmark module's vet, tests and workload
+# smoke, and one iteration of every Go benchmark. gatevet runs before the
+# test passes: contract findings are cheaper to surface than a full race run.
 # CI runs the same targets as separate steps instead of calling check.
-check: vet gatevet race faults serve-smoke chaos perfbench-check perfbench-smoke
+check: vet gatevet race faults serve-smoke chaos perfbench-check perfbench-smoke bench-smoke
 
 # vet runs go vet and fails on any file gofmt would change.
 vet:
@@ -98,6 +98,13 @@ chaos-long:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
+
+# bench-smoke runs every Go benchmark in the module once, so the checks the
+# benchmarks make of their own work keep running: BenchmarkSubmitHit fails
+# unless its resubmission is a 200 cache hit, BenchmarkTable1Flow_b14 unless
+# Ours reproduces its golden row (~10s).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # loc reports a change's size: lines added, removed and net since BASE
 # (default HEAD~1), from git diff --numstat, in three rows: non-test Go, Go
