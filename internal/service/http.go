@@ -279,13 +279,9 @@ type storedReport struct {
 func newStoredReport(raw []byte) *storedReport { return &storedReport{raw: raw} }
 
 // responseForm returns the report's response form, rendering it on the
-// first call, or nil when raw is empty or not JSON, which writeJSON omits
-// or cannot encode.
+// first call, or nil when raw is not JSON, which writeJSON cannot encode.
 func (r *storedReport) responseForm() []byte {
 	r.once.Do(func() {
-		if len(r.raw) == 0 {
-			return
-		}
 		compact, err := json.Marshal(json.RawMessage(r.raw))
 		if err != nil {
 			return

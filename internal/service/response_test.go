@@ -256,27 +256,27 @@ func TestConcurrentBodyReuse(t *testing.T) {
 		key, module     string
 		direct          []byte
 	}
-	ts := make([]text, texts)
+	tx := make([]text, texts)
 	path := filepath.Join(t.TempDir(), "jobs.wal")
-	for k := range ts {
+	for k := range tx {
 		src := escapedDesign(t, "b03a", fmt.Sprintf("m%d", k), fmt.Sprintf("t%d", k))
 		body, err := json.Marshal(SubmitRequest{Verilog: src})
 		if err != nil {
 			t.Fatal(err)
 		}
 		verilog, _ := json.Marshal(src)
-		ts[k] = text{
+		tx[k] = text{
 			body:      body,
 			reordered: []byte(`{"options":{},"verilog":` + string(verilog) + `}`),
 			key:       requestKey(Source{Verilog: src}, JobOptions{}),
 			module:    fmt.Sprintf("m%d", k) + htmlChars,
 			direct:    directReport(t, SubmitRequest{Verilog: src}),
 		}
-		if len(ts[k].body) != len(ts[0].body) || len(ts[k].reordered) != len(ts[0].body) {
-			t.Fatalf("text %d: bodies of %d and %d bytes, want %d", k, len(ts[k].body), len(ts[k].reordered), len(ts[0].body))
+		if len(tx[k].body) != len(tx[0].body) || len(tx[k].reordered) != len(tx[0].body) {
+			t.Fatalf("text %d: bodies of %d and %d bytes, want %d", k, len(tx[k].body), len(tx[k].reordered), len(tx[0].body))
 		}
 		if k < texts/2 {
-			appendForeignPrimary(t, path, jobID(int64(k+1)), ts[k].key, ts[k].module, rawReport(ts[k].direct))
+			appendForeignPrimary(t, path, jobID(int64(k+1)), tx[k].key, tx[k].module, rawReport(tx[k].direct))
 		}
 	}
 	s := mustNew(t, Config{Workers: 2, JournalPath: path})
@@ -291,8 +291,8 @@ func TestConcurrentBodyReuse(t *testing.T) {
 			t.Errorf("%s: status %d, %v", what, rec.Code, err)
 			return nil
 		}
-		if st.Key != ts[k].key || st.Module != ts[k].module {
-			t.Errorf("%s: job %s has key %s and module %q, want text %d's %s and %q", what, st.ID, st.Key, st.Module, k, ts[k].key, ts[k].module)
+		if st.Key != tx[k].key || st.Module != tx[k].module {
+			t.Errorf("%s: job %s has key %s and module %q, want text %d's %s and %q", what, st.ID, st.Key, st.Module, k, tx[k].key, tx[k].module)
 		}
 		job, ok := s.Lookup(st.ID)
 		if !ok {
@@ -312,7 +312,7 @@ func TestConcurrentBodyReuse(t *testing.T) {
 		}
 		doc.Runtime = 0
 		var got bytes.Buffer
-		if err := doc.Write(&got); err != nil || !bytes.Equal(got.Bytes(), ts[k].direct) {
+		if err := doc.Write(&got); err != nil || !bytes.Equal(got.Bytes(), tx[k].direct) {
 			t.Errorf("%s: job %s served another report than a direct run of text %d", what, st.ID, k)
 		}
 		return job
@@ -342,9 +342,9 @@ func TestConcurrentBodyReuse(t *testing.T) {
 	together(func(c int) {
 		for i := 0; i < texts; i++ {
 			k := (c + i) % texts
-			body := ts[k].body
+			body := tx[k].body
 			if c%2 == 1 {
-				body = ts[k].reordered
+				body = tx[k].reordered
 			}
 			if job := check(fmt.Sprintf("client %d, first post of text %d", c, k), k, post(h, body)); job != nil {
 				mu.Lock()
@@ -366,7 +366,7 @@ func TestConcurrentBodyReuse(t *testing.T) {
 	together(func(c int) {
 		for i := 0; i < texts; i++ {
 			k := (c + i) % texts
-			for _, body := range [][]byte{ts[k].body, ts[k].reordered, ts[k].body} {
+			for _, body := range [][]byte{tx[k].body, tx[k].reordered, tx[k].body} {
 				rec := post(h, body)
 				if rec.Code != http.StatusOK {
 					t.Errorf("client %d, resubmission of text %d: status %d", c, k, rec.Code)
