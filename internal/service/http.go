@@ -276,21 +276,13 @@ type storedReport struct {
 	form []byte // nil until rendered, and when raw does not render
 }
 
-func newStoredReport(raw []byte) *storedReport { return &storedReport{raw: raw} }
-
 // responseForm returns the report's response form, rendering it on the
 // first call, or nil when raw is not JSON, which writeJSON cannot encode.
 func (r *storedReport) responseForm() []byte {
 	r.once.Do(func() {
-		compact, err := json.Marshal(json.RawMessage(r.raw))
-		if err != nil {
-			return
-		}
-		// json.Indent reserves twice its input before it writes.
-		form := bytes.NewBuffer(make([]byte, 0, 2*len(compact)))
-		if json.Indent(form, compact, "  ", "  ") == nil {
-			r.form = form.Bytes()
-		}
+		// Marshal compacts a RawMessage with HTML escaping, as the
+		// Encoder does; the error is the nil form writeStatus checks.
+		r.form, _ = json.MarshalIndent(json.RawMessage(r.raw), "  ", "  ")
 	})
 	return r.form
 }

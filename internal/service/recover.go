@@ -276,7 +276,7 @@ func resolveReport(byID map[string]*replJob, j *replJob) (*storedReport, bool) {
 		}
 	}
 	if p.stored == nil {
-		p.stored = newStoredReport(p.done.Report)
+		p.stored = &storedReport{raw: p.done.Report}
 	}
 	return p.stored, true
 }

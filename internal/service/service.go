@@ -759,7 +759,7 @@ func (s *Server) runJob(job *Job) {
 	}
 	var stored *storedReport
 	if err == nil {
-		stored = newStoredReport(report)
+		stored = &storedReport{raw: report}
 	}
 	if err == nil && !interrupted {
 		// Interrupted (deadline-truncated) reports are wall-clock artifacts,

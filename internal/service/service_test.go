@@ -569,7 +569,7 @@ func TestListJobs(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	sum := func(body string) bodySum { return sha256.Sum256([]byte(body)) }
 	entry := func(key string) cacheEntry {
-		return cacheEntry{key: key, origin: "job-" + key, module: "m" + key, report: newStoredReport([]byte(strings.ToUpper(key))), body: sum(key)}
+		return cacheEntry{key: key, origin: "job-" + key, module: "m" + key, report: &storedReport{raw: []byte(strings.ToUpper(key))}, body: sum(key)}
 	}
 	c := newResultCache(2)
 	c.put(entry("a"))
